@@ -83,10 +83,11 @@ def check_cycle(system) -> None:
 
 
 def attach_probe(system, *, period: int = 1):
-    """Install a per-cycle invariant probe on a :class:`MulticoreSystem`.
+    """Install a cycle invariant probe on a :class:`MulticoreSystem`.
 
-    The run loop calls ``system.probe(now)`` once per iteration (same
-    zero-cost-when-off contract as the metrics sampler); every *period*
+    The run loop calls ``system.probe(now)`` once per visited cycle;
+    skipped cycles repeat the last probed state (same zero-cost-when-off
+    contract as the metrics sampler).  At most once every *period*
     cycles this checks the backend's cycle invariants and records the
     number of checks performed.  Returns a one-element list holding that
     count so tests can assert the probe actually fired.

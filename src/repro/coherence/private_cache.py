@@ -268,7 +268,7 @@ class PrivateCache:
             if mshr.kind == "read":
                 # A read for the line is in flight; chain the write after
                 # it to avoid requesting from ourselves at the directory.
-                mshr.deferred_writes.append(on_granted)
+                mshr.defer_write(on_granted)
                 return "pending"
             return "retry"  # writeback in progress; replay later
         if not self.mshrs.can_allocate():

@@ -324,7 +324,7 @@ class RcpCache:
                 mshr.payload_grants.append(on_granted)
                 return "pending"
             if mshr.kind == "read":
-                mshr.deferred_writes.append(on_granted)
+                mshr.defer_write(on_granted)
                 return "pending"
             return "retry"  # writeback in progress; replay later
         if not self.mshrs.can_allocate():

@@ -395,7 +395,7 @@ class TardisCache:
                 mshr.payload_grants.append(on_granted)
                 return "pending"
             if mshr.kind == "read":
-                mshr.deferred_writes.append(on_granted)
+                mshr.defer_write(on_granted)
                 return "pending"
             return "retry"  # writeback in progress; replay later
         if not self.mshrs.can_allocate():

@@ -95,6 +95,15 @@ class EventQueue:
         """Move the clock forward one cycle."""
         self.now += 1
 
+    def advance_to(self, cycle: int) -> None:
+        """Move the clock forward to *cycle*, which must not pass the
+        earliest pending event."""
+        if cycle <= self.now or (self._buckets
+                                 and cycle > min(self._buckets)):
+            raise SimulationError(
+                f"cannot advance from {self.now} to {cycle}")
+        self.now = cycle
+
     def advance_to_next_event(self) -> None:
         """Skip idle cycles directly to the next scheduled event."""
         if self._buckets:

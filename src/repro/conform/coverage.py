@@ -70,21 +70,42 @@ def corpus_coverage(observer: CoverageObserver,
     return runs
 
 
+def _store_pair_traces(line_bytes: int) -> List:
+    """Two readers share ``x``; then one of them stores to ``x``'s line
+    twice in a row, so the second store asks for write permission while
+    the first one's request is still in flight and the line is in S."""
+    space = AddressSpace(line_bytes)
+    x = space.new_var("x")
+    writer = TraceBuilder()
+    seen = writer.reg()
+    writer.load(seen, x)
+    value = writer.reg()
+    writer.gate(value, srcs=(seen,), latency=5, imm=1)
+    writer.store(x, value_reg=value)
+    writer.store(x + 8, value_reg=value)
+    reader = TraceBuilder()
+    reader.load(reader.reg(), x)
+    return [writer.build(), reader.build()]
+
+
 def scenario_coverage(observer: CoverageObserver, *, backend: str,
                       names: Optional[Sequence[str]] = None,
                       core_class: str = "SLM") -> int:
-    """Run the directed trace scenarios (mp, sos); returns runs."""
-    mode = default_mode_for(backend)
-    runs = 0
-    for name in (names if names is not None else sorted(TRACE_SCENARIOS)):
-        params = table6_system(core_class, num_cores=4, commit_mode=mode,
-                               backend=backend)
+    """Run the directed trace scenarios (mp, sos) and, unless *names*
+    picks scenarios, the same-line store pair; returns runs."""
+    params = table6_system(core_class, num_cores=4,
+                           commit_mode=default_mode_for(backend),
+                           backend=backend)
+    programs = [scenario_traces(name) for name in
+                (names if names is not None else sorted(TRACE_SCENARIOS))]
+    if names is None:
+        programs.append(_store_pair_traces(params.cache.line_bytes))
+    for traces in programs:
         system = MulticoreSystem(params)
         observer.attach_system(system)
-        system.load_program(scenario_traces(name))
+        system.load_program(traces)
         system.run()
-        runs += 1
-    return runs
+    return len(programs)
 
 
 #: Lines streamed by the capacity scenario — more than the shrunken

@@ -47,6 +47,9 @@ DEFAULT_CORE = "SLM"
 #: i.e. for which the sim-inclusion phase is sound.
 SIM_SOUND_MODELS = ("tso", "rmo")
 
+#: A test's (operational, axiomatic) outcome sets under one model.
+References = Tuple[Set[Outcome], Set[Outcome]]
+
 
 @dataclass
 class Violation:
@@ -99,6 +102,12 @@ def default_delays(num_threads: int) -> List[Tuple[int, ...]]:
     return grid
 
 
+def reference_outcomes(test: ConformTest, model="tso") -> References:
+    """Enumerate *test*'s operational and axiomatic outcome sets."""
+    spec: MemoryModel = get_model(model)
+    return operational_outcomes(test, spec), axiomatic_outcomes(test, spec)
+
+
 def check_test(test: ConformTest, *,
                model="tso",
                params: Optional[SystemParams] = None,
@@ -106,7 +115,8 @@ def check_test(test: ConformTest, *,
                core_class: str = DEFAULT_CORE,
                backend: str = "baseline",
                delays: Optional[Sequence[Sequence[int]]] = None,
-               perturb: int = 2, seed: int = 0) -> TestReport:
+               perturb: int = 2, seed: int = 0,
+               references: Optional[References] = None) -> TestReport:
     """Run the full differential check on one test under one model.
 
     ``backend`` selects the coherence protocol the simulated hardware
@@ -114,13 +124,15 @@ def check_test(test: ConformTest, *,
     independent — whatever the protocol, its executions must stay
     inside the model).  Callers must pair the backend with a commit
     mode it supports (tardis has no WritersBlock, so no OOO_WB).
+    A caller checking one test on several backends passes the
+    :func:`reference_outcomes` it computed once as ``references``.
     """
     spec: MemoryModel = get_model(model)
     expect = test.expect_for(spec)
     report = TestReport(name=test.name, family=test.family,
                         expect=expect, model=spec.name, backend=backend)
-    op_set = operational_outcomes(test, spec)
-    ax_set = axiomatic_outcomes(test, spec)
+    op_set, ax_set = (references if references is not None
+                      else reference_outcomes(test, spec))
     report.operational_count = len(op_set)
     report.axiomatic_count = len(ax_set)
 

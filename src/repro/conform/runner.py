@@ -16,10 +16,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..common.types import CommitMode
-from .differential import TestReport, Violation, check_test
+from .differential import References, TestReport, Violation, check_test
 from .litmus_format import parse_litmus
 from .model import ConformTest
 
@@ -133,6 +133,7 @@ def run_conformance(tests: Sequence[ConformTest], *,
                     witness_dir: Optional[Path] = None,
                     explore: bool = False, por: bool = True,
                     progress: Optional[Callable[[TestReport], None]] = None,
+                    references: Optional[Mapping[str, References]] = None,
                     ) -> ConformanceResult:
     """Check every test; optionally save witnesses and run the explorer.
 
@@ -145,6 +146,10 @@ def run_conformance(tests: Sequence[ConformTest], *,
     (:mod:`repro.conform.scenarios`) — deadlock-freedom plus
     SoS-never-blocked (baseline) or the timestamp invariants (tardis)
     on every reachable protocol state.
+
+    ``references`` maps test names to their :func:`reference_outcomes`
+    under *model*, for callers that check the same tests on several
+    backends; without it each test's sets are enumerated here.
     """
     from .witness import save_witness
 
@@ -152,7 +157,9 @@ def run_conformance(tests: Sequence[ConformTest], *,
     for test in tests:
         report = check_test(test, model=model, mode=mode,
                             core_class=core_class, backend=backend,
-                            perturb=perturb, seed=seed)
+                            perturb=perturb, seed=seed,
+                            references=(references[test.name]
+                                        if references is not None else None))
         result.reports.append(report)
         if witness_dir is not None:
             for violation in report.violations:

@@ -72,6 +72,9 @@ class InOrderCore:
         self._scoreboard: Dict[int, DynInstr] = {}
         self.done = False
         self.done_cycle: Optional[int] = None
+        #: Branches resolve at issue, so fetch never stalls; kept at 0
+        #: for the run loop's wake bound (shared with OoOCore).
+        self.fetch_stall_until = 0
 
         cache.invalidation_hook = self._on_invalidation
         cache.lockdown_query = self._lockdown_query
@@ -85,6 +88,10 @@ class InOrderCore:
         self._stat_stores = stats.counter("core.stores_performed")
         self._stat_use_stalls = stats.counter("core.inorder_use_stalls")
         self._stat_order_stalls = stats.counter("core.inorder_order_stalls")
+        #: Use and order stalls of the latest tick, added to the shared
+        #: counters when it ends (and again per skipped idle cycle).
+        self._use_stalls = 0
+        self._order_stalls = 0
 
     # ----------------------------------------------------------------- setup
     def load_trace(self, trace: List[Instruction]) -> None:
@@ -115,32 +122,49 @@ class InOrderCore:
         }
 
     # ------------------------------------------------------------------ tick
-    def tick(self) -> None:
+    def tick(self) -> bool:
+        """Advance one cycle; return whether the core changed state
+        (same contract as :meth:`repro.core.ooo_core.OoOCore.tick`)."""
         if self.done:
-            return
+            return False
         self._stat_cycles.add()
-        self._retire()
-        self._memory_stage()
-        self._sb_drain()
-        self._issue()
-        self._check_done()
+        self._use_stalls = self._order_stalls = 0
+        moved = self._retire()
+        if self._memory_stage():
+            moved = True
+        if self._sb_drain():
+            moved = True
+        if self._issue():
+            moved = True
+        self._stat_use_stalls.add(self._use_stalls)
+        self._stat_order_stalls.add(self._order_stalls)
+        return self._check_done() or moved
+
+    def skip_idle(self, cycles: int) -> None:
+        """Account *cycles* idle cycles exactly as that many ticks would,
+        right after a :meth:`tick` that returned False: each stall
+        counter grows by what that tick added to it, *cycles* times.
+        An idle tick emits no events, so there are none to repeat."""
+        self._stat_cycles.add(cycles)
+        self._stat_use_stalls.add(cycles * self._use_stalls)
+        self._stat_order_stalls.add(cycles * self._order_stalls)
 
     # ----------------------------------------------------------------- issue
-    def _issue(self) -> None:
+    def _issue(self) -> bool:
         """Issue (at most) one instruction per cycle, strictly in order."""
         if self.pc >= len(self.trace) or len(self.window) >= self.window_size:
-            return
+            return False
         instr = self.trace[self.pc]
         if instr.itype is InstrType.LOAD and self.lq.full:
-            return
+            return False
         if instr.itype is InstrType.STORE and self.sq.full:
-            return
+            return False
         regs = self._source_regs(instr)
         for reg in regs:
             producer = self._scoreboard.get(reg)
             if producer is not None and not producer.executed:
-                self._stat_use_stalls.add()
-                return  # stall-on-use
+                self._use_stalls += 1
+                return False  # stall-on-use
         dyn = DynInstr(instr=instr, trace_idx=self.pc, seq=self._seq)
         self._seq += 1
         values = [self._read_reg(reg) for reg in regs]
@@ -150,7 +174,7 @@ class InOrderCore:
             self._execute_alu(dyn, values)
         elif itype is InstrType.BRANCH:
             self._execute_branch(dyn, values)
-            return  # pc already redirected
+            return True  # pc already redirected
         elif itype is InstrType.LOAD:
             entry = self.lq.allocate(dyn)
             dyn.lq_entry = entry
@@ -170,6 +194,7 @@ class InOrderCore:
         if instr.dst is not None and itype is not InstrType.ALU:
             self._scoreboard[instr.dst] = dyn
         self.pc += 1
+        return True
 
     @staticmethod
     def _source_regs(instr: Instruction):
@@ -246,12 +271,15 @@ class InOrderCore:
             self.cache.request_write(line, _noop)
 
     # ---------------------------------------------------------- memory stage
-    def _memory_stage(self) -> None:
+    def _memory_stage(self) -> bool:
+        moved = False
         for entry in list(self.lq):
-            self._try_load(entry)
-        self._try_atomic()
+            if self._try_load(entry):
+                moved = True
+        return self._try_atomic() or moved
 
-    def _try_load(self, entry: LQEntry) -> None:
+    def _try_load(self, entry: LQEntry) -> bool:
+        """Returns whether the load performed or called into the cache."""
         dyn = entry.dyn
         if entry.performed or dyn.mem_inflight or not dyn.issued:
             if dyn.mem_inflight and not self.params.disable_sos_bypass \
@@ -260,34 +288,36 @@ class InOrderCore:
                 request = self._make_request(entry)
                 if self.cache.load(request, sos_bypass=True) != "retry":
                     dyn.bypass_launched = True
-            return
+                return True
+            return False
         if dyn.retry_when_ordered and not self.lq.is_sos(entry):
-            return
+            return False
         if not self.ecl and not self.lq.is_sos(entry):
             # Baseline: a load may not bind while an older one is
             # unperformed ("wait for it", paper §1 option 3).
-            self._stat_order_stalls.add()
-            return
+            self._order_stalls += 1
+            return False
         if self.sq.unresolved_older_than(dyn.seq):
-            return
+            return False
         if self._older_unperformed_atomic(dyn.seq):
-            return
+            return False
         fwd = self.sq.forward_for(dyn.resolved_addr, dyn.seq)
         if fwd is not None:
-            if fwd.value_ready:
-                self._emit_load_issue(entry)
-                self._perform_load(entry, fwd.version, fwd.value,
-                                   forwarded=True)
-            return
+            if not fwd.value_ready:
+                return False
+            self._emit_load_issue(entry)
+            self._perform_load(entry, fwd.version, fwd.value,
+                               forwarded=True)
+            return True
         sb_entry = self.sb.forward(dyn.resolved_addr, dyn.seq)
         if sb_entry is not None:
             self._emit_load_issue(entry)
             self._perform_load(entry, sb_entry.version, sb_entry.value,
                                forwarded=True)
-            return
+            return True
         if self.lockdowns.line_pending_inv(entry.line) \
                 and not self.lq.is_sos(entry):
-            return
+            return False
         request = self._make_request(entry)
         sos_bypass = (not self.params.disable_sos_bypass
                       and self.lq.is_sos(entry)
@@ -298,6 +328,7 @@ class InOrderCore:
             if sos_bypass:
                 dyn.bypass_launched = True
             self._emit_load_issue(entry)
+        return True
 
     def _emit_load_issue(self, entry: LQEntry) -> None:
         bus = self.bus
@@ -385,24 +416,26 @@ class InOrderCore:
         return any(d.itype is InstrType.ATOMIC and d.seq < seq
                    and not d.performed for d in self.window)
 
-    def _try_atomic(self) -> None:
+    def _try_atomic(self) -> bool:
         if not self.window:
-            return
+            return False
         dyn = self.window[0]
         if dyn.itype is not InstrType.ATOMIC or dyn.performed \
                 or not dyn.issued or not self.sb.empty:
-            return
+            return False
         # An RMW is a full fence: with ECL, older loads may have retired
         # unperformed — the atomic must still wait for every older load
         # to perform (its load part may not reorder, paper §3.7).
         for entry in self.lq:
             if entry.dyn.seq < dyn.seq and not entry.performed:
-                return
+                return False
         line = line_of(dyn.resolved_addr, self.params.cache.line_bytes)
         state = self.cache.line_state(line)
+        moved = False
         if state is CacheState.E:
             self.cache.request_write(line, _noop)
             state = self.cache.line_state(line)
+            moved = True
         if state is CacheState.M:
             addr = dyn.resolved_addr
             offset = addr % self.params.cache.line_bytes
@@ -425,22 +458,27 @@ class InOrderCore:
             self._stat_stores.add()
         elif not self.cache.has_write_mshr(line):
             self.cache.request_write(line, _noop)
+        else:
+            return moved
+        return True
 
     # ---------------------------------------------------------------- stores
-    def _sb_drain(self) -> None:
+    def _sb_drain(self) -> bool:
         head = self.sb.head()
         if head is None:
-            return
+            return False
         # TSO load->store order: with ECL a store can reach the SB while
         # an older (early-retired) load is still unperformed; it must
         # not become globally visible before that load binds.
         for entry in self.lq:
             if entry.dyn.seq < head.seq and not entry.performed:
-                return
+                return False
         state = self.cache.line_state(head.line)
+        moved = False
         if state is CacheState.E:
             self.cache.request_write(head.line, _noop)
             state = self.cache.line_state(head.line)
+            moved = True
         if state is CacheState.M:
             self.cache.perform_store(head.byte_addr, head.version, head.value)
             self.log.store_performed(head.version)
@@ -450,9 +488,12 @@ class InOrderCore:
             self._stat_stores.add()
         elif not self.cache.has_write_mshr(head.line):
             self.cache.request_write(head.line, _noop)
+        else:
+            return moved
+        return True
 
     # ---------------------------------------------------------------- retire
-    def _retire(self) -> None:
+    def _retire(self) -> bool:
         retired = 0
         width = self.params.core.commit_width
         while self.window and retired < width:
@@ -497,6 +538,7 @@ class InOrderCore:
             retired += 1
             self._stat_committed.add()
             self._stat_commits_total.add()
+        return retired != 0
 
     # ------------------------------------------------------------ coherence
     def _on_invalidation(self, line: LineAddr) -> bool:
@@ -510,11 +552,12 @@ class InOrderCore:
         return self.ecl and self.lockdowns.has_lockdown(line)
 
     # ------------------------------------------------------------------ done
-    def _check_done(self) -> None:
+    def _check_done(self) -> bool:
         if self.pc >= len(self.trace) and not self.window \
                 and not len(self.lq) and self.sb.empty:
             self.done = True
             self.done_cycle = self.events.now
+        return self.done
 
 
 def _noop() -> None:

@@ -82,6 +82,10 @@ class OoOCore:
         self.reg_values: Dict[int, int] = {}
         self.reg_producer: Dict[int, DynInstr] = {}
         self._pending_atomics: List[DynInstr] = []
+        #: Stall counter bumped by the latest stalled commit stage, and
+        #: the (cause, line) its COMMIT_STALL event named.
+        self._stall_reason = "other"
+        self._stall_blame: Tuple[str, int] = ("none", -1)
 
         # Wire the coherence-side hooks.
         cache.invalidation_hook = self._on_invalidation
@@ -113,25 +117,58 @@ class OoOCore:
         self.done = not trace
 
     # ------------------------------------------------------------------ tick
-    def tick(self) -> None:
+    def tick(self) -> bool:
+        """Advance one cycle; return whether the core changed state.
+
+        A tick that returns False touched nothing but ``active_cycles``
+        and one stall counter (and emitted its ``COMMIT_STALL`` event):
+        it committed, issued and dispatched nothing, performed or
+        launched no access, made no call into the cache, scheduled no
+        event and did not finish.  Until an event fires or
+        ``fetch_stall_until`` passes, the next tick would do the same,
+        which is what lets the run loop replace a stretch of such ticks
+        with :meth:`skip_idle`.
+        """
         if self.done:
-            return
+            return False
         self._stat_cycles.value += 1
-        if self._commit_run(self) == 0:
+        moved = self._commit_run(self) != 0
+        if not moved:
             self._account_stall()
         # Guard each stage inline: an empty structure costs one attribute
         # load instead of a method call.
-        if self.iq:
-            self._issue()
-        if self.lq._entries or self._pending_atomics:
-            self._memory_stage()
-        if self.sb._entries:
-            self._sb_drain()
+        if self.iq and self._issue():
+            moved = True
+        if (self.lq._entries or self._pending_atomics) \
+                and self._memory_stage():
+            moved = True
+        if self.sb._entries and self._sb_drain():
+            moved = True
         if self.pc < self._trace_len:
-            self._dispatch()
+            if self._dispatch():
+                moved = True
         elif not self.rob._entries and not self.sb._entries:
             self.done = True
             self.done_cycle = self.events.now
+            moved = True
+        return moved
+
+    def skip_idle(self, cycles: int) -> None:
+        """Account *cycles* idle cycles exactly as that many ticks would,
+        right after a :meth:`tick` that returned False.
+
+        While the bus has subscribers the run loop skips one cycle per
+        call, and the call emits that cycle's ``COMMIT_STALL`` again.
+        """
+        self._stat_cycles.value += cycles
+        reason = self._stall_reason
+        self._stat_stalls[reason].value += cycles
+        self._agg_stalls[reason].value += cycles
+        bus = self.bus
+        if bus.active:
+            cause, line = self._stall_blame
+            bus.emit(Kind.COMMIT_STALL, self.core_id, reason=reason,
+                     cause=cause, line=line)
 
     def _account_stall(self) -> None:
         sq = self.sq
@@ -144,11 +181,12 @@ class OoOCore:
             else:
                 rob = self.rob
                 reason = "rob" if len(rob._entries) >= rob.capacity else "other"
+        self._stall_reason = reason
         self._stat_stalls[reason].value += 1
         self._agg_stalls[reason].value += 1
         bus = self.bus
         if bus.active:
-            cause, line = self._stall_cause()
+            cause, line = self._stall_blame = self._stall_cause()
             bus.emit(Kind.COMMIT_STALL, self.core_id, reason=reason,
                      cause=cause, line=line)
 
@@ -210,11 +248,11 @@ class OoOCore:
         return "exec", int(line)
 
     # -------------------------------------------------------------- dispatch
-    def _dispatch(self) -> None:
+    def _dispatch(self) -> bool:
         # The stall window and clock cannot change mid-dispatch, so one
         # up-front check covers the whole group.
         if self.pc >= self._trace_len or self.events.now < self.fetch_stall_until:
-            return
+            return False
         width = self._issue_width
         iq_cap = self._iq_cap
         trace = self.trace
@@ -233,6 +271,7 @@ class OoOCore:
                 break
             self._dispatch_one(instr)
             dispatched += 1
+        return dispatched != 0
 
     def _dispatch_one(self, instr: Instruction) -> None:
         dyn = DynInstr(instr=instr, trace_idx=self.pc, seq=self._seq)
@@ -283,10 +322,10 @@ class OoOCore:
         return tuple(regs), addr_idx, value_idx
 
     # ----------------------------------------------------------------- issue
-    def _issue(self) -> None:
+    def _issue(self) -> bool:
         iq = self.iq
         if not iq:
-            return
+            return False
         width = self._issue_width
         issued = 0
         idx = 0
@@ -302,6 +341,7 @@ class OoOCore:
                 del iq[idx]
                 self._start_execution(dyn)
                 issued += 1
+        return issued != 0
 
     def _start_execution(self, dyn: DynInstr) -> None:
         dyn.issued = True
@@ -384,7 +424,8 @@ class OoOCore:
             self.cache.request_write(line, _noop)
 
     # ---------------------------------------------------------- memory stage
-    def _memory_stage(self) -> None:
+    def _memory_stage(self) -> bool:
+        moved = False
         entries = self.lq._entries
         if entries:
             budget = self._issue_width
@@ -395,15 +436,22 @@ class OoOCore:
                     continue
                 if budget == 0:
                     break
-                if self._try_load(entry):
-                    budget -= 1
-        if self._pending_atomics:
-            self._try_atomics()
+                outcome = self._try_load(entry)
+                if outcome is not None:
+                    moved = True
+                    if outcome:
+                        budget -= 1
+        if self._pending_atomics and self._try_atomics():
+            moved = True
+        return moved
 
-    def _try_load(self, entry: LQEntry) -> bool:
+    def _try_load(self, entry: LQEntry) -> Optional[bool]:
+        """True: the load performed or launched an access (one issue
+        slot).  False: the cache was asked and said "retry".  None:
+        nothing changed."""
         dyn = entry.dyn
         if entry.performed or not dyn.issued:
-            return False
+            return None
         line = entry.line
         lq = self.lq
         if dyn.mem_inflight:
@@ -419,21 +467,22 @@ class OoOCore:
                 if self.cache.load(request, sos_bypass=True) != "retry":
                     dyn.bypass_launched = True
                     return True
-            return False
+                return False
+            return None
         # One SoS scan covers every check below: nothing in between can
         # perform another load of this queue.
         is_sos = lq.first_nonperformed() is entry
         if dyn.retry_when_ordered and not is_sos:
-            return False
+            return None
         if self.sq.unresolved_older_than(dyn.seq):
-            return False
+            return None
         if self._older_unperformed_atomic(dyn.seq):
-            return False
+            return None
         # Store-to-load forwarding: youngest older exact-address match.
         fwd = self.sq.forward_for(dyn.resolved_addr, dyn.seq)
         if fwd is not None:
             if not fwd.value_ready:
-                return False  # wait for the store's value
+                return None  # wait for the store's value
             self._emit_load_issue(entry)
             self._perform_load(entry, fwd.version, fwd.value, forwarded=True)
             return True
@@ -446,7 +495,7 @@ class OoOCore:
         # §3.4 optimization: don't issue unordered loads for a line whose
         # lockdown has already been seen by an invalidation.
         if not is_sos and self.lockdowns.line_pending_inv(line):
-            return False
+            return None
         request = self._make_request(entry)
         sos_bypass = (self._sos_bypass and is_sos
                       and self.cache.write_blocked(line))
@@ -523,22 +572,27 @@ class OoOCore:
                    for a in self._pending_atomics)
 
     # ---------------------------------------------------------------- atomic
-    def _try_atomics(self) -> None:
+    def _try_atomics(self) -> bool:
         head = self.rob.head()
         if head is None or head.itype is not InstrType.ATOMIC:
-            return
+            return False
         dyn = head
         if dyn.performed or not dyn.issued or not self.sb.empty:
-            return
+            return False
         line = line_of(dyn.resolved_addr, self._line_bytes)
         state = self.cache.line_state(line)
+        moved = False
         if state is CacheState.E:
             self.cache.request_write(line, _noop)  # silent E->M
             state = self.cache.line_state(line)
+            moved = True
         if state is CacheState.M:
             self._perform_atomic(dyn, line)
         elif not self.cache.has_write_mshr(line):
             self.cache.request_write(line, _noop)
+        else:
+            return moved
+        return True
 
     def _perform_atomic(self, dyn: DynInstr, line: LineAddr) -> None:
         addr = dyn.resolved_addr
@@ -561,14 +615,16 @@ class OoOCore:
         self._stat_stores.add()
 
     # ---------------------------------------------------------------- stores
-    def _sb_drain(self) -> None:
+    def _sb_drain(self) -> bool:
         head = self.sb.head()
         if head is None:
-            return
+            return False
         state = self.cache.line_state(head.line)
+        moved = False
         if state is CacheState.E:
             self.cache.request_write(head.line, _noop)  # silent E->M
             state = self.cache.line_state(head.line)
+            moved = True
         if state is CacheState.M:
             self.cache.perform_store(head.byte_addr, head.version, head.value)
             self.log.store_performed(head.version)
@@ -578,6 +634,9 @@ class OoOCore:
             self._stat_stores.add()
         elif not self.cache.has_write_mshr(head.line):
             self.cache.request_write(head.line, _noop)
+        else:
+            return moved
+        return True
 
     # ---------------------------------------------------------------- commit
     def do_commit(self, dyn: DynInstr) -> None:

@@ -599,6 +599,7 @@ def conformance_driver(cfg: BenchConfig, engine: ExperimentEngine
     deterministic tier-1 slice; ``REPRO_CONFORM_FULL=1`` forces the
     full corpus.
     """
+    from ..conform.differential import reference_outcomes
     from ..conform.runner import (default_mode_for, full_requested,
                                   load_corpus, run_conformance, tier1_slice)
 
@@ -607,6 +608,9 @@ def conformance_driver(cfg: BenchConfig, engine: ExperimentEngine
     sliced = cfg.scale < 1.0 and not full_requested()
     if sliced:
         tests = tier1_slice(tests)
+    # The references are protocol-independent: enumerate them once for
+    # the whole backend matrix.
+    references = {test.name: reference_outcomes(test) for test in tests}
     lines = [f"{'backend':9s} {'family':8s} {'tests':>6s} {'sim-runs':>9s} "
              f"{'sim-outs':>9s} {'oper':>6s} {'axiom':>6s} {'viol':>5s}"]
     rows: List[Dict] = []
@@ -617,7 +621,8 @@ def conformance_driver(cfg: BenchConfig, engine: ExperimentEngine
         mode = default_mode_for(backend)
         result = run_conformance(tests, mode=mode, backend=backend,
                                  perturb=CONFORM_PERTURB,
-                                 seed=CONFORM_SEED, explore=True)
+                                 seed=CONFORM_SEED, explore=True,
+                                 references=references)
         ok = ok and result.ok
         violations += len(result.violations)
         for row in result.family_rows():

@@ -64,6 +64,16 @@ class MSHREntry:
         )
         return f"<MSHR {self.kind} {self.line!r} {flags} acks={self.pending_acks}>"
 
+    def defer_write(self, on_granted: Callable[[], None]) -> None:
+        """Chain a write-permission request behind this in-flight read.
+
+        A core polling for permission asks again every cycle with the
+        same callback; that callback is chained once, since each copy
+        would only be replayed as a duplicate request on fill.
+        """
+        if not any(chained is on_granted for chained in self.deferred_writes):
+            self.deferred_writes.append(on_granted)
+
 
 class MSHRFile:
     """Fixed-size pool of MSHRs with a reserved SoS quota."""

@@ -3,10 +3,16 @@
 Tiles are numbered 0..N-1; each hosts a core + private cache and one
 LLC/directory bank.  A line's home bank is ``line % N`` (address
 interleaving).  The run loop advances a global clock: deliver due events
-(network messages, latency callbacks), tick every core, repeat.  A
-watchdog raises :class:`DeadlockError` if no instruction commits
-system-wide for ``watchdog_cycles`` — the deadlock-scenario tests rely
-on this to prove the safe-passage rules are load-bearing.
+(network messages, latency callbacks), tick every running core, then
+move to the next cycle in which something can change.  That is the next
+cycle, unless no core's tick changed anything: then nothing can change
+before the next event, the end of a fetch stall, the next telemetry
+sample, the watchdog deadline or the cycle cap, so the loop jumps
+straight to the earliest of those and accounts the skipped cycles in
+bulk (quiescence skipping; docs/performance.md).  A watchdog raises
+:class:`DeadlockError` if no instruction commits system-wide for
+``watchdog_cycles`` — the deadlock-scenario tests rely on this to prove
+the safe-passage rules are load-bearing.
 """
 
 from __future__ import annotations
@@ -47,8 +53,9 @@ class MulticoreSystem:
         self.tracker: Optional[SpanTracker] = None
         self.sampler: Optional[MetricsSampler] = None
         self.coverage: Optional[CoverageObserver] = None
-        #: Per-cycle callback (e.g. an invariant probe from
-        #: ``repro.coherence.invariants.attach_probe``); inert when None.
+        #: Callback run once per visited cycle (e.g. an invariant probe
+        #: from ``repro.coherence.invariants.attach_probe``); inert when
+        #: None.  Cycles the run loop skips hold the state it last saw.
         self.probe = None
         self.network = MeshNetwork(params.num_cores, params.network,
                                    self.events, self.stats, bus=self.bus)
@@ -134,6 +141,7 @@ class MulticoreSystem:
         running = [core for core in self.cores if not core.done]
         sampler = self.sampler
         probe = self.probe
+        bus = self.bus
         while True:
             events.run_due()
             if sampler is not None and events.now >= sampler.next_cycle:
@@ -145,21 +153,52 @@ class MulticoreSystem:
                     break
                 events.advance_to_next_event()
                 continue
-            finished = False
+            moved = finished = False
             for core in running:
-                core.tick()
-                if core.done:
-                    finished = True
+                if core.tick():
+                    moved = True
+                    if core.done:
+                        finished = True
             if finished:
                 running = [core for core in running if not core.done]
+            now = events.now
             if commit_counter.value != last_commits:
                 last_commits = commit_counter.value
-                last_progress_cycle = events.now
-            elif events.now - last_progress_cycle > watchdog:
-                raise DeadlockError(events.now, self._snapshot())
-            if max_cycles and events.now >= max_cycles:
+                last_progress_cycle = now
+            elif now - last_progress_cycle > watchdog:
+                raise DeadlockError(now, self._snapshot())
+            if max_cycles and now >= max_cycles:
                 raise SimulationError(f"cycle cap {max_cycles} exceeded")
-            events.advance()
+            if moved:
+                events.advance()
+                continue
+            # Every tick changed nothing, and until one of these bounds
+            # the next would change nothing either.
+            wake = last_progress_cycle + watchdog + 1
+            if max_cycles and max_cycles < wake:
+                wake = max_cycles
+            if sampler is not None and sampler.next_cycle < wake:
+                wake = sampler.next_cycle
+            if not events.empty:
+                wake = min(wake, events.next_cycle())
+            for core in running:
+                if now < core.fetch_stall_until < wake:
+                    wake = core.fetch_stall_until
+            skipped = wake - now - 1
+            if not skipped:
+                events.advance()
+            elif bus.active:
+                # Subscribers see the stall events of every skipped
+                # cycle, stamped and ordered as the ticks would have.
+                for __ in range(skipped):
+                    events.advance()
+                    for core in running:
+                        core.skip_idle(1)
+                events.advance()
+            else:
+                for core in running:
+                    core.skip_idle(skipped)
+                events.advance_to(wake)
         return self._result()
 
     def _snapshot(self) -> str:

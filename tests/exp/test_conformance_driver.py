@@ -8,6 +8,7 @@ serial, pooled, and cache-replay runs.
 
 import json
 
+from repro.conform import differential
 from repro.exp.bench import run_bench
 from repro.exp.drivers import DRIVERS, BenchConfig, conformance_driver
 from repro.exp.engine import ExperimentEngine
@@ -15,8 +16,22 @@ from repro.exp.engine import ExperimentEngine
 QUICK_CFG = BenchConfig(benches=("fft",), cores=4, scale=0.25)
 
 
-def test_quick_scale_runs_the_tier1_slice():
+def test_quick_scale_runs_the_tier1_slice(monkeypatch):
+    enumerated = []
+    for name in ("operational_outcomes", "axiomatic_outcomes"):
+        enumerate_fn = getattr(differential, name)
+
+        def counting(test, model="tso", _name=name, _fn=enumerate_fn):
+            enumerated.append((_name, test.name,
+                               getattr(model, "name", model)))
+            return _fn(test, model)
+
+        monkeypatch.setattr(differential, name, counting)
     report = conformance_driver(QUICK_CFG, ExperimentEngine(1))
+    # The references are backend-independent: each (test, model) pair
+    # is enumerated once for the whole backend matrix.
+    assert len(enumerated) == len(set(enumerated)) \
+        == 2 * report.totals["tests"]
     assert report.name == "conformance"
     assert report.totals["sliced"] is True
     assert report.totals["ok"] is True

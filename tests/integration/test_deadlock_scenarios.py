@@ -85,6 +85,16 @@ def test_without_sos_bypass_the_system_deadlocks():
         run(mshr_deadlock_program(), disable_bypass=True)
     # The diagnostic names the stuck core.
     assert "core0" in str(exc.value)
+    # Pinned: skipping the idle cycles must not move the watchdog.
+    assert exc.value.cycle == 30_450
+    assert exc.value.snapshot == (
+        "core0: pc=6/6 rob=2 head=<load#2@2 I> lq=1 sq=1 sb=0 iq=0 ldt=1\n"
+        "core1: pc=2/2 rob=0 head=None lq=0 sq=0 sb=1 iq=0 ldt=0\n"
+        "dir0: busy=['<Dir L0x40 WB owner=0 sharers=[] q=1 def=1>'] "
+        "evicting=[]\n"
+        "dir1: busy=[] evicting=[]\n"
+        "dir2: busy=[] evicting=[]\n"
+        "dir3: busy=[] evicting=[]")
 
 
 def test_sos_value_respects_tso_in_the_deadlock_shape():

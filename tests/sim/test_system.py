@@ -67,6 +67,15 @@ def test_watchdog_reports_stuck_core():
     with pytest.raises(DeadlockError) as exc:
         system.run()
     assert "core0" in str(exc.value)
+    # The first cycle past the watchdog window, even though the run
+    # loop skips the idle cycles leading up to it.
+    assert exc.value.cycle == 5_001
+    assert exc.value.snapshot == (
+        "core0: pc=1/1 rob=1 head=<alu#0@0 I> lq=0 sq=0 sb=0 iq=0 ldt=0\n"
+        "dir0: busy=[] evicting=[]\n"
+        "dir1: busy=[] evicting=[]\n"
+        "dir2: busy=[] evicting=[]\n"
+        "dir3: busy=[] evicting=[]")
 
 
 def test_result_contains_counters_and_cycles():
