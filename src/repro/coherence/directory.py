@@ -117,22 +117,6 @@ class DirectoryBank:
         self._stat_uncacheable_evict = s.counter("dir.uncacheable_due_to_eviction")
         self._stat_requests = s.counter("dir.requests")
         self._hist_wb_duration = s.histogram("dir.writersblock_duration")
-        # Message dispatch, built once (a per-delivery dict is hot-path
-        # allocation churn).
-        self._dispatch = {
-            MsgType.GETS: self._on_request,
-            MsgType.GETX: self._on_request,
-            MsgType.UPGRADE: self._on_request,
-            MsgType.PUTM: self._on_putm,
-            MsgType.PUTS: self._on_puts,
-            MsgType.NACK: self._on_nack,
-            MsgType.NACK_DATA: self._on_nack,
-            MsgType.ACK: self._on_ack,
-            MsgType.ACK_DATA: self._on_ack,
-            MsgType.COPYBACK: self._on_copyback,
-            MsgType.UNBLOCK: self._on_unblock,
-            MsgType.DEFERRED_ACK: self._on_deferred_ack,
-        }
         network.register(tile, "llc", self.handle_message)
 
     # ------------------------------------------------------------------ util
@@ -168,15 +152,15 @@ class DirectoryBank:
 
     # --------------------------------------------------------------- receive
     def handle_message(self, msg: Message) -> None:
-        handler = self._dispatch.get(msg.msg_type)
+        handler = self._DISPATCH.get(msg.msg_type)
         if handler is None:
             raise ProtocolError(f"directory {self.tile}: unexpected {msg!r}")
         if self._cov is None:
-            handler(msg)
+            handler(self, msg)
             return
         before = self._cov_state(msg.line)
         mark = len(self._cov_sends)
-        handler(msg)
+        handler(self, msg)
         probe.note(self, "dir", msg.line, msg.msg_type.name, before, mark)
 
     # --------------------------------------------------------------- requests
@@ -686,3 +670,20 @@ class DirectoryBank:
             if entry.state is DirState.WRITERS_BLOCK:
                 wb += 1
         return {"dirq": dirq, "wb": wb, "evb": len(self._evicting)}
+
+    # MsgType -> handler, called as ``handler(self, msg)``: one table per
+    # class, so instances (and explorer forks) carry no bound methods.
+    _DISPATCH = {
+        MsgType.GETS: _on_request,
+        MsgType.GETX: _on_request,
+        MsgType.UPGRADE: _on_request,
+        MsgType.PUTM: _on_putm,
+        MsgType.PUTS: _on_puts,
+        MsgType.NACK: _on_nack,
+        MsgType.NACK_DATA: _on_nack,
+        MsgType.ACK: _on_ack,
+        MsgType.ACK_DATA: _on_ack,
+        MsgType.COPYBACK: _on_copyback,
+        MsgType.UNBLOCK: _on_unblock,
+        MsgType.DEFERRED_ACK: _on_deferred_ack,
+    }

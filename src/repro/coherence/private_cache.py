@@ -100,21 +100,6 @@ class PrivateCache:
         self._stat_invs = stats.counter("cache.invalidations_received")
         self._stat_writebacks = stats.counter("cache.writebacks")
         self._num_tiles = network.topology.num_tiles
-        # Message dispatch, built once (a per-delivery dict is hot-path
-        # allocation churn).
-        self._dispatch = {
-            MsgType.DATA: self._on_data,
-            MsgType.DATA_EXCL: self._on_data,
-            MsgType.PERM: self._on_perm,
-            MsgType.DATA_UNCACHEABLE: self._on_data_uncacheable,
-            MsgType.ACK: self._on_ack,
-            MsgType.ACK_DATA: self._on_ack_data,
-            MsgType.INV: self._on_inv,
-            MsgType.FWD_GETS: self._on_fwd_gets,
-            MsgType.FWD_GETX: self._on_fwd_getx,
-            MsgType.WB_ACK: self._on_wb_ack,
-            MsgType.BLOCKED_HINT: self._on_blocked_hint,
-        }
         network.register(tile, "cache", self.handle_message)
 
     # ------------------------------------------------------------------ util
@@ -322,15 +307,15 @@ class PrivateCache:
 
     # ---------------------------------------------------------- msg handling
     def handle_message(self, msg: Message) -> None:
-        handler = self._dispatch.get(msg.msg_type)
+        handler = self._DISPATCH.get(msg.msg_type)
         if handler is None:
             raise ProtocolError(f"cache {self.tile}: unexpected {msg!r}")
         if self._cov is None:
-            handler(msg)
+            handler(self, msg)
             return
         before = self._cov_state(msg.line)
         mark = len(self._cov_sends)
-        handler(msg)
+        handler(self, msg)
         probe.note(self, "cache", msg.line, msg.msg_type.name, before, mark)
 
     # Data responses -------------------------------------------------------
@@ -631,3 +616,19 @@ class PrivateCache:
     def _drop_line(self, line: LineAddr) -> None:
         self._lines.remove(line)
         self._l1.drop(line)
+
+    # MsgType -> handler, called as ``handler(self, msg)``: one table per
+    # class, so instances (and explorer forks) carry no bound methods.
+    _DISPATCH = {
+        MsgType.DATA: _on_data,
+        MsgType.DATA_EXCL: _on_data,
+        MsgType.PERM: _on_perm,
+        MsgType.DATA_UNCACHEABLE: _on_data_uncacheable,
+        MsgType.ACK: _on_ack,
+        MsgType.ACK_DATA: _on_ack_data,
+        MsgType.INV: _on_inv,
+        MsgType.FWD_GETS: _on_fwd_gets,
+        MsgType.FWD_GETX: _on_fwd_getx,
+        MsgType.WB_ACK: _on_wb_ack,
+        MsgType.BLOCKED_HINT: _on_blocked_hint,
+    }

@@ -163,14 +163,6 @@ class RcpCache:
         # Transition-coverage gate (repro.obs.coverage): None when off.
         self._cov = None
         self._cov_sends: List[str] = []
-        self._dispatch = {
-            MsgType.DATA: self._on_data,
-            MsgType.DATA_EXCL: self._on_data_excl,
-            MsgType.INV: self._on_inv,
-            MsgType.UNDO: self._on_undo,
-            MsgType.RECALL: self._on_recall,
-            MsgType.WB_ACK: self._on_wb_ack,
-        }
         network.register(tile, "cache", self.handle_message)
 
     # ------------------------------------------------------------------ util
@@ -380,15 +372,15 @@ class RcpCache:
 
     # ---------------------------------------------------------- msg handling
     def handle_message(self, msg: Message) -> None:
-        handler = self._dispatch.get(msg.msg_type)
+        handler = self._DISPATCH.get(msg.msg_type)
         if handler is None:
             raise ProtocolError(f"cache {self.tile}: unexpected {msg!r}")
         if self._cov is None:
-            handler(msg)
+            handler(self, msg)
             return
         before = self._cov_state(msg.line)
         mark = len(self._cov_sends)
-        handler(msg)
+        handler(self, msg)
         probe.note(self, "cache", msg.line, msg.msg_type.name, before, mark)
 
     def _install(self, line: LineAddr, state: CacheState,
@@ -580,6 +572,17 @@ class RcpCache:
         self._lines.remove(line)
         self._l1.drop(line)
 
+    # MsgType -> handler, called as ``handler(self, msg)``: one table per
+    # class, so instances (and explorer forks) carry no bound methods.
+    _DISPATCH = {
+        MsgType.DATA: _on_data,
+        MsgType.DATA_EXCL: _on_data_excl,
+        MsgType.INV: _on_inv,
+        MsgType.UNDO: _on_undo,
+        MsgType.RECALL: _on_recall,
+        MsgType.WB_ACK: _on_wb_ack,
+    }
+
 
 class RcpDirectory:
     """Directory / LLC bank for the RCP protocol.
@@ -617,17 +620,6 @@ class RcpDirectory:
         self._stat_requests = stats.counter("dir.requests")
         self._stat_evictions = stats.counter("dir.llc_evictions")
         self._stat_recalls = stats.counter("rcp.recalls")
-        self._dispatch = {
-            MsgType.GETS: self._on_request,
-            MsgType.GETS_SPEC: self._on_request,
-            MsgType.GETX: self._on_request,
-            MsgType.PUTM: self._on_putm,
-            MsgType.ACK: self._on_ack,
-            MsgType.ACK_DATA: self._on_ack,
-            MsgType.UNDO_ACK: self._on_ack,
-            MsgType.CONFIRM: self._on_confirm,
-            MsgType.RECALL_ACK: self._on_recall_ack,
-        }
         network.register(tile, "llc", self.handle_message)
 
     # ------------------------------------------------------------------ util
@@ -657,15 +649,15 @@ class RcpDirectory:
 
     # --------------------------------------------------------------- receive
     def handle_message(self, msg: Message) -> None:
-        handler = self._dispatch.get(msg.msg_type)
+        handler = self._DISPATCH.get(msg.msg_type)
         if handler is None:
             raise ProtocolError(f"directory {self.tile}: unexpected {msg!r}")
         if self._cov is None:
-            handler(msg)
+            handler(self, msg)
             return
         before = self._cov_state(msg.line)
         mark = len(self._cov_sends)
-        handler(msg)
+        handler(self, msg)
         probe.note(self, "dir", msg.line, msg.msg_type.name, before, mark)
 
     # -------------------------------------------------------------- requests
@@ -999,6 +991,20 @@ class RcpDirectory:
         for __, entry in self._array.items():
             dirq += len(entry.queue)
         return {"dirq": dirq, "wb": 0, "evb": len(self._evicting)}
+
+    # MsgType -> handler, called as ``handler(self, msg)``: one table per
+    # class, so instances (and explorer forks) carry no bound methods.
+    _DISPATCH = {
+        MsgType.GETS: _on_request,
+        MsgType.GETS_SPEC: _on_request,
+        MsgType.GETX: _on_request,
+        MsgType.PUTM: _on_putm,
+        MsgType.ACK: _on_ack,
+        MsgType.ACK_DATA: _on_ack,
+        MsgType.UNDO_ACK: _on_ack,
+        MsgType.CONFIRM: _on_confirm,
+        MsgType.RECALL_ACK: _on_recall_ack,
+    }
 
 
 class RcpBackend(CoherenceBackend):

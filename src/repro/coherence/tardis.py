@@ -186,13 +186,6 @@ class TardisCache:
         # Transition-coverage gate (repro.obs.coverage): None when off.
         self._cov = None
         self._cov_sends: List[str] = []
-        self._dispatch = {
-            MsgType.DATA: self._on_data,
-            MsgType.DATA_EXCL: self._on_data_excl,
-            MsgType.RENEW_ACK: self._on_renew_ack,
-            MsgType.RECALL: self._on_recall,
-            MsgType.WB_ACK: self._on_wb_ack,
-        }
         network.register(tile, "cache", self.handle_message)
 
     # ------------------------------------------------------------------ util
@@ -457,15 +450,15 @@ class TardisCache:
 
     # ---------------------------------------------------------- msg handling
     def handle_message(self, msg: Message) -> None:
-        handler = self._dispatch.get(msg.msg_type)
+        handler = self._DISPATCH.get(msg.msg_type)
         if handler is None:
             raise ProtocolError(f"cache {self.tile}: unexpected {msg!r}")
         if self._cov is None:
-            handler(msg)
+            handler(self, msg)
             return
         before = self._cov_state(msg.line)
         mark = len(self._cov_sends)
-        handler(msg)
+        handler(self, msg)
         probe.note(self, "cache", msg.line, msg.msg_type.name, before, mark)
 
     def _update_line(self, line: LineAddr, state: CacheState, data: LineData,
@@ -672,6 +665,16 @@ class TardisCache:
         self._lines.remove(line)
         self._l1.drop(line)
 
+    # MsgType -> handler, called as ``handler(self, msg)``: one table per
+    # class, so instances (and explorer forks) carry no bound methods.
+    _DISPATCH = {
+        MsgType.DATA: _on_data,
+        MsgType.DATA_EXCL: _on_data_excl,
+        MsgType.RENEW_ACK: _on_renew_ack,
+        MsgType.RECALL: _on_recall,
+        MsgType.WB_ACK: _on_wb_ack,
+    }
+
 
 class TardisDirectory:
     """Directory / LLC bank for the tardis protocol.
@@ -716,13 +719,6 @@ class TardisDirectory:
         self._stat_renews = stats.counter("tardis.renewals")
         self._stat_renew_data = stats.counter("tardis.renewals_with_data")
         self._stat_recalls = stats.counter("tardis.recalls")
-        self._dispatch = {
-            MsgType.GETS: self._on_request,
-            MsgType.GETX: self._on_request,
-            MsgType.RENEW: self._on_request,
-            MsgType.PUTM: self._on_putm,
-            MsgType.RECALL_ACK: self._on_recall_ack,
-        }
         network.register(tile, "llc", self.handle_message)
 
     # ------------------------------------------------------------------ util
@@ -752,15 +748,15 @@ class TardisDirectory:
 
     # --------------------------------------------------------------- receive
     def handle_message(self, msg: Message) -> None:
-        handler = self._dispatch.get(msg.msg_type)
+        handler = self._DISPATCH.get(msg.msg_type)
         if handler is None:
             raise ProtocolError(f"directory {self.tile}: unexpected {msg!r}")
         if self._cov is None:
-            handler(msg)
+            handler(self, msg)
             return
         before = self._cov_state(msg.line)
         mark = len(self._cov_sends)
-        handler(msg)
+        handler(self, msg)
         probe.note(self, "dir", msg.line, msg.msg_type.name, before, mark)
 
     # -------------------------------------------------------------- requests
@@ -1068,6 +1064,16 @@ class TardisDirectory:
         for __, entry in self._array.items():
             dirq += len(entry.queue)
         return {"dirq": dirq, "wb": 0, "evb": len(self._evicting)}
+
+    # MsgType -> handler, called as ``handler(self, msg)``: one table per
+    # class, so instances (and explorer forks) carry no bound methods.
+    _DISPATCH = {
+        MsgType.GETS: _on_request,
+        MsgType.GETX: _on_request,
+        MsgType.RENEW: _on_request,
+        MsgType.PUTM: _on_putm,
+        MsgType.RECALL_ACK: _on_recall_ack,
+    }
 
 
 class TardisBackend(CoherenceBackend):

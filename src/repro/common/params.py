@@ -87,6 +87,11 @@ class CacheParams:
             if getattr(self, attr) <= 0:
                 raise ConfigError(f"CacheParams.{attr} must be positive")
 
+    # Frozen value object: a deep copy is the object itself (explorer
+    # forks share it instead of copying it).
+    def __deepcopy__(self, memo) -> "CacheParams":
+        return self
+
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -100,6 +105,10 @@ class NetworkParams:
     def validate(self) -> None:
         if self.switch_cycles <= 0:
             raise ConfigError("switch_cycles must be positive")
+
+    # Frozen value object: a deep copy is the object itself.
+    def __deepcopy__(self, memo) -> "NetworkParams":
+        return self
 
 
 @dataclass(frozen=True)

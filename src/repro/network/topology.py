@@ -34,6 +34,11 @@ class MeshTopology:
         # asks for one on every single message.
         self._route_cache: dict = {}
 
+    # Fixed geometry plus a pure memo: a deep copy is the object itself
+    # (explorer forks share one topology, route memo included).
+    def __deepcopy__(self, memo) -> "MeshTopology":
+        return self
+
     def coords(self, tile: int) -> Tuple[int, int]:
         """(x, y) coordinates of *tile*."""
         if not 0 <= tile < self.num_tiles:

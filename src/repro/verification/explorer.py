@@ -4,11 +4,16 @@ The simulator's network delivers messages at deterministic times, so a
 single run exercises one interleaving.  This explorer instead *buffers*
 every network send and branches on which pending message to deliver
 next (respecting the per-(src, dst) FIFO order that deterministic X-Y
-routing guarantees), deep-copying the whole system at each branch.
-Between deliveries, all locally scheduled work (latency callbacks,
-controller follow-ups) runs to quiescence — so the unit of reordering
-is exactly the unordered-network nondeterminism the paper's protocol
-must tolerate.
+routing guarantees).  A state with k deliveries to explore forks k - 1
+deep copies of the system; the last delivery mutates the state itself,
+which nothing reads once its children are on the stack.  A fork copies
+only mutable protocol state: line addresses, params, the mesh topology,
+the backend and a coverage observer are shared by every fork, and the
+controllers dispatch messages through class-level tables, so they hold
+no bound methods to copy.  Between deliveries, all locally scheduled
+work (latency callbacks, controller follow-ups) runs to quiescence — so
+the unit of reordering is exactly the unordered-network nondeterminism
+the paper's protocol must tolerate.
 
 At every fully quiescent state the caller's invariant checks run; at
 the end of each execution path a *termination* check verifies nothing
@@ -322,7 +327,7 @@ class ExplorationResult:
     violations: List[str] = field(default_factory=list)
     # Search telemetry (docs/verification.md): how the DFS spent its
     # budget, not just what it concluded.
-    transitions: int = 0  # deliveries executed (forked children)
+    transitions: int = 0  # deliveries executed (children pushed)
     frontier_peak: int = 0  # deepest the DFS stack ever grew
     memoized: int = 0  # distinct fingerprints in the memo table
     depth_histogram: Dict[int, int] = field(default_factory=dict)
@@ -378,6 +383,9 @@ def explore(setup: Callable[[VerifSystem], None],
     is pruned outright, a revisit that would explore *more* (smaller
     sleep) re-expands and records the intersection.
 
+    A search cut short by ``max_states`` with states still on the stack
+    is reported as a violation, never as ``ok``.
+
     ``coverage`` takes a :class:`repro.obs.coverage.CoverageObserver`:
     it attaches to the root system's controllers before ``setup`` and
     survives every ``deepcopy`` fork as a shared singleton, so one map
@@ -418,10 +426,9 @@ def explore(setup: Callable[[VerifSystem], None],
         choices = system.network.deliverable()
         if not choices:
             if on_quiescent is not None:
-                before = system.fingerprint()
                 on_quiescent(system)
                 system.settle()
-                if system.network.pending or system.fingerprint() != before:
+                if system.network.pending or system.fingerprint() != fp:
                     stack.append((system, frozenset(), depth))
                     continue
             problem = final_check(system)
@@ -442,8 +449,11 @@ def explore(setup: Callable[[VerifSystem], None],
             # sibling order; this state's continuations are covered.
             continue
         explored_here: List[Tuple] = []
-        for index, key in awake:
-            child = copy.deepcopy(system)
+        last = len(awake) - 1
+        for position, (index, key) in enumerate(awake):
+            # Nothing reads a state once its children are pushed, so the
+            # last child is the state itself: k deliveries, k - 1 forks.
+            child = system if position == last else copy.deepcopy(system)
             child.network.deliver(index)
             child.settle()
             result.transitions += 1
@@ -457,5 +467,10 @@ def explore(setup: Callable[[VerifSystem], None],
             explored_here.append(key)
         if len(stack) > result.frontier_peak:
             result.frontier_peak = len(stack)
+    if stack:
+        result.violations.append(
+            f"exploration truncated at max_states={max_states}: "
+            f"{result.states_explored} states explored, "
+            f"{len(stack)} still on the stack")
     result.memoized = len(seen)
     return result

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.types import CacheState, DirState, LineAddr
+from repro.conform.scenarios import explore_mp
 from repro.verification import (
     VerifSystem,
     combined_invariant,
@@ -215,3 +216,23 @@ def test_explorer_respects_max_states():
     result = explore(setup, combined_invariant, lambda s: None,
                      max_states=50)
     assert result.states_explored <= 50
+    # A search cut short by its budget has not verified anything.
+    assert not result.ok
+    assert len(result.violations) == 1
+    assert result.violations[0].startswith(
+        "exploration truncated at max_states=50: 50 states explored, ")
+    assert result.violations[0].endswith(" still on the stack")
+
+
+def test_truncated_scenario_is_not_ok():
+    """explore_mp used to report ok with 0 completed paths at a budget
+    of 10 states; under the default budget it finishes and stays ok."""
+    cut = explore_mp(max_states=10)
+    assert not cut.ok
+    assert cut.paths_completed == 0
+    assert len(cut.violations) == 1
+    assert cut.violations[0].startswith(
+        "exploration truncated at max_states=10: 10 states explored, ")
+    full = explore_mp()
+    assert full.ok, full.violations[:3]
+    assert full.paths_completed >= 1
