@@ -10,7 +10,7 @@ exposes a small callback-based interface to the core model:
 * :meth:`send_deferred_ack` — called by the core when the last lockdown
   for a Nacked invalidation lifts (paper §3.2).
 
-The core side plugs in two hooks:
+The core side plugs in these hooks:
 
 * ``invalidation_hook(line) -> bool`` — called for every invalidation
   that must be answered; returns True when a lockdown exists (so the
@@ -18,6 +18,9 @@ The core side plugs in two hooks:
   Squash-and-re-execute cores squash inside the hook and return False.
 * ``lockdown_query(line) -> bool`` — is a lockdown currently held on
   *line*?  Used to avoid evicting locked lines (paper §3.8).
+* ``eviction_hook(line)`` — a non-silent eviction of *line* (§3.8).
+* ``wake_hook(delay)`` — a hit completion was scheduled *delay* cycles
+  ahead, so a sleeping core wakes for it (repro.sim.system).
 """
 
 from __future__ import annotations
@@ -90,6 +93,8 @@ class PrivateCache:
         self.invalidation_hook: Callable[[LineAddr], bool] = lambda line: False
         self.lockdown_query: Callable[[LineAddr], bool] = lambda line: False
         self.eviction_hook: Callable[[LineAddr], None] = lambda line: None
+        #: Told the delay of every event scheduled for the core.
+        self.wake_hook: Callable[[int], None] = lambda delay: None
         prefix = f"cache{tile}"
         self._stat_loads = stats.counter(f"{prefix}.loads")
         self._stat_hits = stats.counter(f"{prefix}.load_hits")
@@ -185,6 +190,7 @@ class PrivateCache:
             # not let the load keep the stale value unprotected (it is
             # not "performed" yet, so no lockdown/squash would cover it).
             self.events.schedule(latency, lambda: self._finish_hit(request))
+            self.wake_hook(latency)
             return "hit"
         self._stat_misses.add()
         if sos_bypass:

@@ -150,6 +150,8 @@ class RcpCache:
         self.invalidation_hook: Callable[[LineAddr], bool] = lambda line: False
         self.lockdown_query: Callable[[LineAddr], bool] = lambda line: False
         self.eviction_hook: Callable[[LineAddr], None] = lambda line: None
+        #: Told the delay of every event scheduled for the core.
+        self.wake_hook: Callable[[int], None] = lambda delay: None
         prefix = f"cache{tile}"
         self._stat_loads = stats.counter(f"{prefix}.loads")
         self._stat_hits = stats.counter(f"{prefix}.load_hits")
@@ -242,6 +244,7 @@ class RcpCache:
             # Value binds at completion, not start: the copy may be
             # reversed (or promoted) inside the hit latency.
             self.events.schedule(latency, lambda: self._finish_hit(request))
+            self.wake_hook(latency)
             return "hit"
         self._stat_misses.add()
         mshr = self.mshrs.get(line)

@@ -175,6 +175,8 @@ class TardisCache:
         self.invalidation_hook: Callable[[LineAddr], bool] = lambda line: False
         self.lockdown_query: Callable[[LineAddr], bool] = lambda line: False
         self.eviction_hook: Callable[[LineAddr], None] = lambda line: None
+        #: Told the delay of every event scheduled for the core.
+        self.wake_hook: Callable[[int], None] = lambda delay: None
         prefix = f"cache{tile}"
         self._stat_loads = stats.counter(f"{prefix}.loads")
         self._stat_hits = stats.counter(f"{prefix}.load_hits")
@@ -329,6 +331,7 @@ class TardisCache:
             # Value binds at completion, not start: the lease may expire
             # inside the hit latency (another op advances pts).
             self.events.schedule(latency, lambda: self._finish_hit(request))
+            self.wake_hook(latency)
             return "hit"
         self._stat_misses.add()
         mshr = self.mshrs.get(line)

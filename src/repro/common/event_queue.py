@@ -19,6 +19,8 @@ a fresh bucket that the drain loop picks up on its next pass).
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from math import inf
 from typing import Callable, Dict, List
 
 from .errors import SimulationError
@@ -110,3 +112,36 @@ class EventQueue:
             nxt = min(self._buckets)
             if nxt > self.now:
                 self.now = nxt
+
+
+class FireCycles:
+    """The fire cycles of one owner's pending events, earliest first.
+
+    Each core keeps one, fed by the events it and its cache schedule,
+    so the run loop knows when to wake it (repro.sim.system).  Cycles
+    already past are dropped lazily, which keeps the heap as small as
+    the owner's pending events.
+    """
+
+    __slots__ = ("_events", "_heap")
+
+    def __init__(self, events: EventQueue) -> None:
+        self._events = events
+        self._heap: List[int] = []
+
+    def note(self, delay: int) -> None:
+        """Record an event scheduled *delay* cycles from now."""
+        heappush(self._pending(), self._events.now + delay)
+
+    def next(self) -> float:
+        """The earliest recorded fire cycle after now (inf if none)."""
+        heap = self._pending()
+        return heap[0] if heap else inf
+
+    def _pending(self) -> List[int]:
+        """The heap, rid of the cycles already past."""
+        heap = self._heap
+        now = self._events.now
+        while heap and heap[0] <= now:
+            heappop(heap)
+        return heap

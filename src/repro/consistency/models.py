@@ -150,38 +150,42 @@ def _check_atomicity(log: ExecutionLog, spec: MemoryModel) -> None:
 
 # --------------------------------------------------------------- per-address
 def _check_sc_per_location(rel: Relations, spec: MemoryModel) -> None:
+    """po-loc ∪ co ∪ rf ∪ fr must be acyclic at every address.
+
+    Each relation is bucketed by address in one pass, keeping its order
+    within an address, and each address's graph is checked on its own.
+    """
     events = rel.events
     by_addr: Dict[int, List[int]] = {}
     for idx, event in enumerate(events):
         by_addr.setdefault(event.addr, []).append(idx)
+    # po-loc: consecutive same-core accesses to one address.
+    po_loc: Dict[int, List[Edge]] = {}
+    for core in sorted(rel.po):
+        prev_at: Dict[int, int] = {}
+        for idx in rel.po[core]:
+            addr = events[idx].addr
+            prev = prev_at.get(addr)
+            if prev is not None:
+                po_loc.setdefault(addr, []).append((prev, idx))
+            prev_at[addr] = idx
     rf_by_reader = {edge.reader: edge.writer for edge in rel.rf}
-    fr_edges = set(rel.fr)
+    rf: Dict[int, List[Edge]] = {}
+    for idx, event in enumerate(events):
+        writer = rf_by_reader.get(idx)
+        if writer is not None:
+            rf.setdefault(event.addr, []).append((writer, idx))
+    fr: Dict[int, List[Edge]] = {}
+    for src, dst in rel.fr:
+        fr.setdefault(events[src].addr, []).append((src, dst))
     for addr in sorted(by_addr):
         idxs = by_addr[addr]
         local = {g: l for l, g in enumerate(idxs)}
         adjacency: Dict[int, Set[int]] = {}
-
-        def add(src: int, dst: int) -> None:
-            adjacency.setdefault(local[src], set()).add(local[dst])
-
-        # po-loc: consecutive same-core accesses to this address.
-        for core in sorted(rel.po):
-            prev = None
-            for idx in rel.po[core]:
-                if events[idx].addr != addr:
-                    continue
-                if prev is not None:
-                    add(prev, idx)
-                prev = idx
-        for src, dst in rel.co.get(addr, ()):  # co (adjacent)
-            add(src, dst)
-        for idx in idxs:
-            writer = rf_by_reader.get(idx)  # rf
-            if writer is not None:
-                add(writer, idx)
-        for src, dst in rel.fr:  # fr
-            if events[src].addr == addr and (src, dst) in fr_edges:
-                add(src, dst)
+        for edges in (po_loc.get(addr, ()), rel.co.get(addr, ()),
+                      rf.get(addr, ()), fr.get(addr, ())):
+            for src, dst in edges:
+                adjacency.setdefault(local[src], set()).add(local[dst])
         cycle = find_cycle(len(idxs), adjacency)
         if cycle is not None:
             spec._raise(

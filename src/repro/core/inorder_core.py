@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..common.errors import SimulationError
-from ..common.event_queue import EventQueue
+from ..common.event_queue import EventQueue, FireCycles
 from ..common.params import SystemParams
 from ..common.stats import StatsRegistry
 from ..common.types import CacheState, InstrType, LineAddr, line_of
@@ -75,10 +75,13 @@ class InOrderCore:
         #: Branches resolve at issue, so fetch never stalls; kept at 0
         #: for the run loop's wake bound (shared with OoOCore).
         self.fetch_stall_until = 0
+        #: Fire cycles of this tile's pending events, as on OoOCore.
+        self.event_cycles = FireCycles(events)
 
         cache.invalidation_hook = self._on_invalidation
         cache.lockdown_query = self._lockdown_query
         cache.eviction_hook = lambda line: None
+        cache.wake_hook = self.event_cycles.note
 
         prefix = f"core{core_id}"
         self._stat_committed = stats.counter(f"{prefix}.committed")
@@ -236,7 +239,9 @@ class InOrderCore:
                 dyn.value = imm
             dyn.executed = True
 
-        self.events.schedule(dyn.instr.latency, finish)
+        latency = dyn.instr.latency
+        self.events.schedule(latency, finish)
+        self.event_cycles.note(latency)
 
     def _execute_branch(self, dyn: DynInstr, values) -> None:
         """Branches resolve at issue: no control speculation at all."""

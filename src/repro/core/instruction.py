@@ -53,6 +53,10 @@ class Instruction:
     predict_taken: bool = False
 
     def __post_init__(self) -> None:
+        if self.latency < 1:
+            # The event would land in the cycle the run loop already
+            # drained, and the clock could never move past it.
+            raise ConfigError(f"latency must be >= 1, got {self.latency}")
         if self.itype is InstrType.ALU and self.op not in ALU_OPS:
             raise ConfigError(f"unknown ALU op {self.op!r}")
         if self.itype is InstrType.ATOMIC and self.op not in ATOMIC_OPS:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..common.errors import SimulationError
-from ..common.event_queue import EventQueue
+from ..common.event_queue import EventQueue, FireCycles
 from ..common.params import SystemParams
 from ..common.stats import StatsRegistry
 from ..common.types import CacheState, CommitMode, InstrType, LineAddr, line_of
@@ -86,11 +86,15 @@ class OoOCore:
         #: the (cause, line) its COMMIT_STALL event named.
         self._stall_reason = "other"
         self._stall_blame: Tuple[str, int] = ("none", -1)
+        #: Fire cycles of the events this tile scheduled for the core:
+        #: its execute latencies and the cache's hit completions.
+        self.event_cycles = FireCycles(events)
 
         # Wire the coherence-side hooks.
         cache.invalidation_hook = self._on_invalidation
         cache.lockdown_query = self._lockdown_query
         cache.eviction_hook = self._on_nonsilent_eviction
+        cache.wake_hook = self.event_cycles.note
 
         prefix = f"core{core_id}"
         self._stat_committed = stats.counter(f"{prefix}.committed")
@@ -124,10 +128,11 @@ class OoOCore:
         and one stall counter (and emitted its ``COMMIT_STALL`` event):
         it committed, issued and dispatched nothing, performed or
         launched no access, made no call into the cache, scheduled no
-        event and did not finish.  Until an event fires or
+        event and did not finish.  Until a message reaches its cache, an
+        event its tile scheduled fires (``event_cycles``) or
         ``fetch_stall_until`` passes, the next tick would do the same,
-        which is what lets the run loop replace a stretch of such ticks
-        with :meth:`skip_idle`.
+        which is what lets the run loop put the core to sleep and charge
+        the skipped ticks with :meth:`skip_idle`.
         """
         if self.done:
             return False
@@ -346,21 +351,22 @@ class OoOCore:
     def _start_execution(self, dyn: DynInstr) -> None:
         dyn.issued = True
         itype = dyn.itype
-        if itype in (InstrType.ALU, InstrType.NOP):
-            self.events.schedule(dyn.instr.latency,
-                                 lambda: self._execute_alu(dyn))
-        elif itype is InstrType.BRANCH:
-            self.events.schedule(dyn.instr.latency,
-                                 lambda: self._execute_branch(dyn))
-        elif itype is InstrType.LOAD:
+        if itype is InstrType.LOAD:
             self._resolve_address(dyn)
-            dyn.lq_entry.line = line_of(dyn.resolved_addr,
-                                        self._line_bytes)
+            dyn.lq_entry.line = line_of(dyn.resolved_addr, self._line_bytes)
+            return
+        if itype is InstrType.ATOMIC:
+            self._resolve_address(dyn)
+            return
+        if itype is InstrType.BRANCH:
+            execute = self._execute_branch
         elif itype is InstrType.STORE:
-            self.events.schedule(dyn.instr.latency,
-                                 lambda: self._execute_store(dyn))
-        elif itype is InstrType.ATOMIC:
-            self._resolve_address(dyn)
+            execute = self._execute_store
+        else:  # ALU, NOP
+            execute = self._execute_alu
+        latency = dyn.instr.latency
+        self.events.schedule(latency, lambda: execute(dyn))
+        self.event_cycles.note(latency)
 
     def _resolve_address(self, dyn: DynInstr) -> None:
         base = dyn.instr.addr or 0

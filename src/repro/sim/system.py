@@ -3,20 +3,21 @@
 Tiles are numbered 0..N-1; each hosts a core + private cache and one
 LLC/directory bank.  A line's home bank is ``line % N`` (address
 interleaving).  The run loop advances a global clock: deliver due events
-(network messages, latency callbacks), tick every running core, then
-move to the next cycle in which something can change.  That is the next
-cycle, unless no core's tick changed anything: then nothing can change
-before the next event, the end of a fetch stall, the next telemetry
-sample, the watchdog deadline or the cycle cap, so the loop jumps
-straight to the earliest of those and accounts the skipped cycles in
-bulk (quiescence skipping; docs/performance.md).  A watchdog raises
-:class:`DeadlockError` if no instruction commits system-wide for
-``watchdog_cycles`` — the deadlock-scenario tests rely on this to prove
-the safe-passage rules are load-bearing.
+(network messages, latency callbacks), tick every awake core, then move
+to the next cycle.  A core whose tick changed nothing sleeps until a
+message reaches its cache, an event its tile scheduled fires or its
+fetch stall ends; its skipped ticks are charged in bulk when it wakes
+(per-core sleep; docs/performance.md).  When every running core sleeps
+the loop jumps straight to the earliest of the next event, a core's
+wake cycle, the next telemetry sample, the watchdog deadline and the
+cycle cap.  A watchdog raises :class:`DeadlockError` if no instruction
+commits system-wide for ``watchdog_cycles`` — the deadlock-scenario
+tests rely on this to prove the safe-passage rules are load-bearing.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Sequence
 
 from ..coherence import get_backend
@@ -73,6 +74,9 @@ class MulticoreSystem:
         ]
         self.cores: List = [self._build_core(tile)
                             for tile in range(params.num_cores)]
+        for core in self.cores:
+            self.network.rewrap_endpoint(core.core_id, "cache",
+                                         partial(_waking, core))
 
     def _build_core(self, tile: int):
         if self.params.core_type == "ooo":
@@ -139,41 +143,63 @@ class MulticoreSystem:
         # empty trace never enter it), so the per-cycle loop only visits
         # cores that can still make progress.
         running = [core for core in self.cores if not core.done]
+        # Per-core sleep state: a core sleeps while ``wake_at`` > now,
+        # and its counters cover its ticks through ``idle_through``.
+        for core in running:
+            core.wake_at = 0
+            core.idle_through = None
         sampler = self.sampler
         probe = self.probe
         bus = self.bus
         while True:
             events.run_due()
-            if sampler is not None and events.now >= sampler.next_cycle:
-                sampler.take(events.now)
+            now = events.now
+            if sampler is not None and now >= sampler.next_cycle:
+                sampler.take(now)
             if probe is not None:
-                probe(events.now)
+                probe(now)
             if not running:
                 if events.empty:
                     break
                 events.advance_to_next_event()
                 continue
+            # Subscribers see every cycle's stall events, stamped and
+            # ordered as the ticks would have emitted them.
+            replay = bus.active
             moved = finished = False
             for core in running:
+                if core.wake_at > now:
+                    if replay:
+                        core.skip_idle(1)
+                        core.idle_through = now
+                    continue
+                idle = core.idle_through
+                if idle is not None:
+                    core.idle_through = None
+                    if now - idle > 1:
+                        core.skip_idle(now - idle - 1)
                 if core.tick():
                     moved = True
                     if core.done:
                         finished = True
+                else:
+                    _sleep(core, now)
             if finished:
                 running = [core for core in running if not core.done]
-            now = events.now
             if commit_counter.value != last_commits:
                 last_commits = commit_counter.value
                 last_progress_cycle = now
             elif now - last_progress_cycle > watchdog:
+                _charge_sleepers(running, now)
                 raise DeadlockError(now, self._snapshot())
             if max_cycles and now >= max_cycles:
+                _charge_sleepers(running, now)
                 raise SimulationError(f"cycle cap {max_cycles} exceeded")
-            if moved:
+            if moved or replay:
                 events.advance()
                 continue
-            # Every tick changed nothing, and until one of these bounds
-            # the next would change nothing either.
+            # Every running core sleeps, and nothing can wake one before
+            # the earliest of these bounds.
             wake = last_progress_cycle + watchdog + 1
             if max_cycles and max_cycles < wake:
                 wake = max_cycles
@@ -182,23 +208,9 @@ class MulticoreSystem:
             if not events.empty:
                 wake = min(wake, events.next_cycle())
             for core in running:
-                if now < core.fetch_stall_until < wake:
-                    wake = core.fetch_stall_until
-            skipped = wake - now - 1
-            if not skipped:
-                events.advance()
-            elif bus.active:
-                # Subscribers see the stall events of every skipped
-                # cycle, stamped and ordered as the ticks would have.
-                for __ in range(skipped):
-                    events.advance()
-                    for core in running:
-                        core.skip_idle(1)
-                events.advance()
-            else:
-                for core in running:
-                    core.skip_idle(skipped)
-                events.advance_to(wake)
+                if core.wake_at < wake:
+                    wake = core.wake_at
+            events.advance_to(wake)
         return self._result()
 
     def _snapshot(self) -> str:
@@ -229,3 +241,35 @@ class MulticoreSystem:
             span_summaries=span_summaries,
             telemetry=telemetry,
         )
+
+
+def _waking(core, handler):
+    """Wrap *core*'s cache endpoint: a delivered message wakes the core."""
+    def deliver(msg) -> None:
+        core.wake_at = 0
+        handler(msg)
+    return deliver
+
+
+def _sleep(core, now: int) -> None:
+    """Put *core* to sleep after a tick at *now* that changed nothing.
+
+    Until a message reaches its cache (see :func:`_waking`), its
+    earliest pending own event fires or its fetch stall ends, its next
+    tick would change nothing either.  The skipped ticks are charged
+    with ``skip_idle`` when it wakes, or before the run raises.
+    """
+    wake = core.event_cycles.next()
+    if now < core.fetch_stall_until < wake:
+        wake = core.fetch_stall_until
+    core.wake_at = wake
+    core.idle_through = now
+
+
+def _charge_sleepers(running, now: int) -> None:
+    """Charge every sleeping core's idle ticks through cycle *now*."""
+    for core in running:
+        idle = core.idle_through
+        if idle is not None and idle < now:
+            core.skip_idle(now - idle)
+            core.idle_through = now

@@ -82,8 +82,31 @@ def test_coherence_read_read_violation():
     v1 = add_store(log, core=1, seq=0, addr=0x10)
     log.record_load(0, 0, 0x10, v1, cycle=1)
     log.record_load(0, 1, 0x10, 0, cycle=2)  # older value after newer
-    with pytest.raises(TSOViolationError):
+    with pytest.raises(TSOViolationError) as info:
         check_tso(log)
+    assert str(info.value) == (
+        "coherence (SC-per-location) violated at 0x10: "
+        "[st c1#0 a=0x10 r=None w=1] -> [ld c0#0 a=0x10 r=1 w=None] -> "
+        "[ld c0#1 a=0x10 r=0 w=None]")
+
+
+def test_coherence_violation_names_the_lowest_address():
+    # Two addresses break coherence; the report names the lower one and
+    # the edges of other addresses never leak into its witness cycle.
+    log = fresh_log()
+    v1 = add_store(log, core=1, seq=0, addr=0x20)
+    v2 = add_store(log, core=2, seq=0, addr=0x10)
+    log.record_load(0, 0, 0x20, v1, cycle=1)
+    log.record_load(0, 1, 0x10, v2, cycle=1)
+    log.record_load(0, 2, 0x20, 0, cycle=2)
+    log.record_load(3, 0, 0x10, v2, cycle=1)
+    log.record_load(3, 1, 0x10, 0, cycle=2)
+    with pytest.raises(TSOViolationError) as info:
+        check_tso(log)
+    assert str(info.value) == (
+        "coherence (SC-per-location) violated at 0x10: "
+        "[st c2#0 a=0x10 r=None w=2] -> [ld c3#0 a=0x10 r=2 w=None] -> "
+        "[ld c3#1 a=0x10 r=0 w=None]")
 
 
 def test_forwarded_read_own_store_early_is_legal():

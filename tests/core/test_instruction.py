@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.types import InstrType
 from repro.core.instruction import DynInstr, Instruction
+from repro.workloads.trace import TraceBuilder
 
 
 def test_alu_requires_known_op():
@@ -19,6 +20,17 @@ def test_branch_requires_target_and_op():
     with pytest.raises(ConfigError):
         Instruction(InstrType.BRANCH, op="jlt", target=0)
     Instruction(InstrType.BRANCH, op="bnez", srcs=(1,), target=0)
+
+
+def test_latency_below_one_is_rejected():
+    """A zero-latency event would land in the cycle the run loop already
+    drained; the trace builder must refuse it up front."""
+    for latency in (0, -1):
+        with pytest.raises(ConfigError, match="latency must be >= 1"):
+            Instruction(InstrType.ALU, op="compute", latency=latency)
+    with pytest.raises(ConfigError):
+        TraceBuilder().compute(latency=0)
+    Instruction(InstrType.ALU, op="compute", latency=1)  # ok
 
 
 def test_memory_ops_require_an_address():

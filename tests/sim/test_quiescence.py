@@ -1,27 +1,34 @@
-"""Quiescence skipping: the run loop jumps over cycles in which no core
-can change state, and the result must be exactly the per-cycle one.
+"""Per-core sleep: a core whose tick changed nothing is not ticked again
+until something can change its state, the run loop jumps over cycles in
+which every core sleeps, and the result must be exactly the per-cycle
+one.
 
 The per-cycle reference comes from wrapping both cores' ``tick`` so
-every tick reports progress: the run loop then visits every cycle.
-Each case runs with the telemetry sampler attached, so samples must
-land on the same cycles, and once more with an event recorder on the
-bus, so every skipped cycle's stall events must be replayed in order.
+every tick reports progress: no core ever sleeps and the run loop
+visits every cycle.  Each case runs with the telemetry sampler
+attached, so samples must land on the same cycles, and once more with
+a digest of the bus's event stream, so every sleeping core's stall
+events must be replayed in order.
 """
 
 import contextlib
 import dataclasses
+import hashlib
 
 import pytest
 
+from repro.common.errors import DeadlockError, SimulationError
 from repro.common.params import table6_system
 from repro.common.types import CommitMode
 from repro.conform.runner import default_mode_for
 from repro.core.inorder_core import InOrderCore
 from repro.core.ooo_core import OoOCore
-from repro.obs.events import EventRecorder
 from repro.perf.corpus import fuzz_cases, litmus_cases
 from repro.sim.system import MulticoreSystem
+from repro.workloads import ALL_WORKLOADS
 from repro.workloads.trace import AddressSpace, TraceBuilder
+
+from ..integration.test_deadlock_scenarios import mshr_deadlock_program
 
 #: (backend, core type) pairs checked against the per-cycle reference.
 CONFIGS = (("baseline", "ooo"), ("tardis", "ooo"), ("rcp", "ooo"),
@@ -30,6 +37,11 @@ CONFIGS = (("baseline", "ooo"), ("tardis", "ooo"), ("rcp", "ooo"),
 #: A short sampling period puts many sample boundaries inside idle
 #: stretches, so the sampler's wake bound is exercised too.
 SAMPLE_PERIOD = 7
+
+#: 16-tile (backend, generator) pairs at the smallest scale: the
+#: paper's machine size, where most cores sleep while others move.
+SPLASH_CASES = (("baseline", "radix"), ("tardis", "barnes"),
+                ("rcp", "ocean_ncp"))
 
 
 @contextlib.contextmanager
@@ -58,26 +70,33 @@ def _params_for(params, backend: str, core_type: str):
 def _run(params, traces, *, observe: bool):
     system = MulticoreSystem(params)
     system.sample_metrics(SAMPLE_PERIOD)
-    recorder = EventRecorder(system.bus) if observe else None
+    stream = _StreamDigest(system.bus) if observe else None
     system.load_program(traces)
     result = system.run()
     assert result.telemetry is not None
-    events = _renumbered(recorder.events) if recorder is not None else None
-    return result.to_json(), events
+    return result.to_json(), stream.hexdigest() if stream else None
 
 
-def _renumbered(events):
-    """Event dicts with instruction uids numbered from 0 per run (they
-    come from one process-wide counter); MSHR uids are per system."""
-    uids = {}
-    out = []
-    for event in events:
-        payload = event.to_dict()
-        args = payload["args"]
+class _StreamDigest:
+    """Bus subscriber hashing the event stream as it is emitted, so long
+    runs need not keep it.  Instruction uids are numbered from 0 per run
+    (they come from one process-wide counter); MSHR uids are per system.
+    """
+
+    def __init__(self, bus) -> None:
+        self._uids = {}
+        self._hash = hashlib.sha256()
+        bus.subscribe(self._add)
+
+    def _add(self, event) -> None:
+        args = dict(event.args)
         if "uid" in args and not event.kind.startswith("mshr."):
-            args["uid"] = uids.setdefault(args["uid"], len(uids))
-        out.append(payload)
-    return out
+            args["uid"] = self._uids.setdefault(args["uid"], len(self._uids))
+        record = (event.cycle, event.kind, event.tile, sorted(args.items()))
+        self._hash.update(repr(record).encode())
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
 
 
 @pytest.mark.parametrize("observe", (False, True),
@@ -97,6 +116,87 @@ def test_skipping_matches_the_per_cycle_reference(backend, core_type,
     mismatched = [name for (name, __, __), got, want
                   in zip(cases, skipped, reference) if got != want]
     assert not mismatched, f"results diverge on {mismatched}"
+
+
+def _splash16(backend: str, name: str):
+    params = table6_system("SLM", num_cores=16, backend=backend,
+                           commit_mode=default_mode_for(backend))
+    return params, ALL_WORKLOADS[name](num_threads=16, scale=0.02,
+                                       seed=1).traces
+
+
+@pytest.mark.parametrize("backend,name", SPLASH_CASES,
+                         ids=[f"{b}-{n}" for b, n in SPLASH_CASES])
+def test_16_tiles_match_the_per_cycle_reference(backend, name):
+    """Observing never changes a result, so one observed per-cycle run
+    is the reference for both the unobserved and the observed run."""
+    params, traces = _splash16(backend, name)
+    unobserved = _run(params, traces, observe=False)
+    observed = _run(params, traces, observe=True)
+    with ticking_every_cycle():
+        reference = _run(params, traces, observe=True)
+    assert unobserved[0] == reference[0]
+    assert observed == reference
+
+
+def test_16_tiles_tick_stalled_cores_rarely(monkeypatch):
+    """A stalled core sleeps instead of ticking on while others move:
+    ticking every running core each cycle idles about four times as
+    often as it moves here."""
+    counts = {True: 0, False: 0}
+    tick = OoOCore.tick
+
+    def counting_tick(self):
+        moved = tick(self)
+        counts[moved] += 1
+        return moved
+
+    monkeypatch.setattr(OoOCore, "tick", counting_tick)
+    params, traces = _splash16("tardis", "barnes")
+    system = MulticoreSystem(params)
+    system.load_program(traces)
+    result = system.run()
+    active = sum(result.counter(f"core{core.core_id}.active_cycles")
+                 for core in system.cores)
+    assert counts[False] * 4 < counts[True]
+    assert (counts[True] + counts[False]) * 4 < active
+
+
+def _stuck_program():
+    """Two cores wedged for good (the Figure 5.B MSHR deadlock, with the
+    SoS bypass off below) and a third that stores and computes a while
+    before finishing, so some cores sleep while another moves."""
+    spinner = TraceBuilder()
+    for __ in range(40):
+        spinner.store(1 << 20, 1)
+        spinner.compute(latency=9)
+    return mshr_deadlock_program() + [spinner.build()]
+
+
+def _stuck_run(**limits):
+    params = dataclasses.replace(
+        table6_system("SLM", num_cores=4, commit_mode=CommitMode.OOO_WB),
+        disable_sos_bypass=True, **limits)
+    system = MulticoreSystem(params)
+    system.load_program(_stuck_program())
+    with pytest.raises(SimulationError) as info:
+        system.run()
+    return type(info.value), str(info.value), system.stats.as_dict()
+
+
+@pytest.mark.parametrize("limits", (
+    {"watchdog_cycles": 2_000},
+    {"watchdog_cycles": 100_000, "max_cycles": 1_500},
+), ids=("deadlock", "cycle-cap"))
+def test_stall_counters_are_settled_before_the_run_raises(limits):
+    """Sleeping cores' idle ticks are charged before DeadlockError or
+    the cycle-cap error leaves the run loop."""
+    got = _stuck_run(**limits)
+    with ticking_every_cycle():
+        want = _stuck_run(**limits)
+    assert got == want
+    assert got[0] is (DeadlockError if "max_cycles" not in limits
+                      else SimulationError)
 
 
 @pytest.mark.parametrize("observe", (False, True),
