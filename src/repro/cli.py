@@ -806,6 +806,9 @@ def cmd_conform(args) -> int:
               f"memo-hit={info['memo_hit_rate']:.0%} "
               f"pruned={info['sleep_prune_ratio']:.0%} "
               f"frontier={info['frontier_peak']} ok={info['ok']}")
+    stages = " ".join(f"{stage}={seconds:.3f}s" for stage, seconds
+                      in result.stage_seconds().items())
+    print(f"stages: {stages}", file=sys.stderr)
     verdict = "OK" if result.ok else "VIOLATIONS"
     print(f"{verdict}: {len(result.reports)} tests, "
           f"{len(result.violations)} violations")

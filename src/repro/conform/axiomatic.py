@@ -15,17 +15,19 @@ is deliberately *not* another step machine:
    annotated with a *pin*: the value it must forward).
 2. **Merge** — interleave one linearization per thread over a single
    memory, reading pinned loads from their pin and plain loads from
-   memory.  Memoized on (positions, memory, registers).
+   memory.  Variables and registers have fixed slot numbers, so memory
+   and registers are slot-indexed tuples; each merge is memoized on
+   (positions, memory, registers).  Fences only order a thread's ops,
+   so linearizations leave them out.
 
 Because a model with fewer preserved pairs admits a superset of
 linearizations, outcome sets are monotone by construction:
 ``ax(sc) ⊆ ax(tso) ⊆ ax(rmo)`` — the inclusion the model-matrix tests
 check programmatically.
 
-This replaces the old/new-vocabulary ``legal_tso_outcomes`` path for
-conformance (which could not express several stores to one variable and
-knew nothing of final memory); that enumeration remains in
-:mod:`repro.consistency.litmus` for the paper-table benches.
+The paper-table benches' old/new-vocabulary
+:func:`repro.consistency.litmus.legal_tso_outcomes` is an adapter over
+the operational x86-TSO machine, not a third enumeration.
 """
 
 from __future__ import annotations
@@ -35,11 +37,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from ..consistency.models import MemoryModel, get_model
 from .model import COp
 
-#: One op of a linearization: (kind, var, value, regkey, pin).
-#: ``pin`` is the forwarded value for a hoisted load, else None.
-LinOp = Tuple[str, str, int, str, Optional[int]]
+#: One op of a linearization: ("st" | "ld", var slot, value, register
+#: slot, pin).  ``pin`` is the forwarded value for a hoisted load, else
+#: None.
+LinOp = Tuple[str, int, int, int, Optional[int]]
 Valuation = FrozenSet[Tuple[str, int]]
 FinalState = Tuple[Valuation, Valuation]  # (registers, memory)
+#: Memory and registers, each a tuple indexed by slot.
+SlotState = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def _ordered(prev: COp, op: COp, model: MemoryModel) -> bool:
@@ -66,8 +71,9 @@ def _pin_value(thread: Sequence[COp], emitted: FrozenSet[int],
     return None
 
 
-def _linearizations(tid: int, thread: Sequence[COp],
-                    model: MemoryModel) -> List[Tuple[LinOp, ...]]:
+def _linearizations(tid: int, thread: Sequence[COp], model: MemoryModel,
+                    var_slots: Dict[str, int],
+                    reg_slots: Dict[str, int]) -> List[Tuple[LinOp, ...]]:
     results: List[Tuple[LinOp, ...]] = []
 
     def extend(emitted: FrozenSet[int], prefix: Tuple[LinOp, ...]) -> None:
@@ -80,12 +86,14 @@ def _linearizations(tid: int, thread: Sequence[COp],
             if any(i not in emitted and _ordered(thread[i], op, model)
                    for i in range(j)):
                 continue
-            if op.kind == "mf":
-                lin: LinOp = ("mf", "", 0, "", None)
-            elif op.kind == "st":
-                lin = ("st", op.var, op.value, "", None)
+            if op.kind == "mf":  # ordering only: the merge skips it
+                extend(emitted | {j}, prefix)
+                continue
+            if op.kind == "st":
+                lin: LinOp = ("st", var_slots[op.var], op.value, 0, None)
             else:
-                lin = ("ld", op.var, 0, f"{tid}:{op.reg}",
+                lin = ("ld", var_slots[op.var], 0,
+                       reg_slots[f"{tid}:{op.reg}"],
                        _pin_value(thread, emitted, j))
             extend(emitted | {j}, prefix + (lin,))
 
@@ -95,12 +103,12 @@ def _linearizations(tid: int, thread: Sequence[COp],
     return sorted(set(results))
 
 
-def _merge(sequences: Sequence[Tuple[LinOp, ...]]) -> Set[FinalState]:
-    """All final (registers, memory) of interleaving the sequences."""
-    outcomes: Set[FinalState] = set()
+def _merge(sequences: Sequence[Tuple[LinOp, ...]],
+           initial: SlotState) -> Set[SlotState]:
+    """All final (memory, registers) of interleaving the sequences."""
+    outcomes: Set[SlotState] = set()
     seen: Set[Tuple] = set()
-    initial = (tuple(0 for __ in sequences), (), ())
-    stack = [initial]
+    stack = [((0,) * len(sequences),) + initial]
     while stack:
         state = stack.pop()
         if state in seen:
@@ -109,42 +117,54 @@ def _merge(sequences: Sequence[Tuple[LinOp, ...]]) -> Set[FinalState]:
         positions, memory, registers = state
         done = True
         for tid, seq in enumerate(sequences):
-            if positions[tid] >= len(seq):
+            position = positions[tid]
+            if position == len(seq):
                 continue
             done = False
-            kind, var, value, regkey, pin = seq[positions[tid]]
-            new_positions = (positions[:tid] + (positions[tid] + 1,)
+            kind, var, value, reg, pin = seq[position]
+            new_positions = (positions[:tid] + (position + 1,)
                              + positions[tid + 1:])
             if kind == "st":
-                items = dict(memory)
-                items[var] = value
                 stack.append((new_positions,
-                              tuple(sorted(items.items())), registers))
-            elif kind == "ld":
-                observed = pin if pin is not None else dict(memory).get(var, 0)
-                items = dict(registers)
-                items[regkey] = observed
+                              memory[:var] + (value,) + memory[var + 1:],
+                              registers))
+            else:
+                observed = pin if pin is not None else memory[var]
                 stack.append((new_positions, memory,
-                              tuple(sorted(items.items()))))
-            else:  # mf: ordering was resolved per thread already
-                stack.append((new_positions, memory, registers))
+                              registers[:reg] + (observed,)
+                              + registers[reg + 1:]))
         if done:
-            outcomes.add((frozenset(registers), frozenset(memory)))
+            outcomes.add((memory, registers))
     return outcomes
 
 
 def axiomatic_final_states(threads: Sequence[Sequence[COp]],
                            model="tso") -> Set[FinalState]:
-    """Every (registers, memory) final state the model admits."""
+    """Every (registers, memory) final state the model admits.
+
+    Variables and ``{tid}:{reg}`` keys get fixed slot numbers, so the
+    merge works on slot-indexed tuples; every register is loaded and
+    every stored variable written by the end of a merge, so the final
+    valuation names exactly those.
+    """
     spec = get_model(model)
-    per_thread = [_linearizations(tid, thread, spec)
+    var_slots: Dict[str, int] = {}
+    reg_slots: Dict[str, int] = {}
+    for tid, thread in enumerate(threads):
+        for op in thread:
+            if op.kind != "mf":
+                var_slots.setdefault(op.var, len(var_slots))
+            if op.kind == "ld":
+                reg_slots.setdefault(f"{tid}:{op.reg}", len(reg_slots))
+    per_thread = [_linearizations(tid, thread, spec, var_slots, reg_slots)
                   for tid, thread in enumerate(threads)]
-    outcomes: Set[FinalState] = set()
+    initial: SlotState = ((0,) * len(var_slots), (0,) * len(reg_slots))
+    finals: Set[SlotState] = set()
     chosen: List[Tuple[LinOp, ...]] = []
 
     def pick(tid: int) -> None:
         if tid == len(per_thread):
-            outcomes.update(_merge(chosen))
+            finals.update(_merge(chosen, initial))
             return
         for sequence in per_thread[tid]:
             chosen.append(sequence)
@@ -152,4 +172,9 @@ def axiomatic_final_states(threads: Sequence[Sequence[COp]],
             chosen.pop()
 
     pick(0)
-    return outcomes
+    registers = list(reg_slots)
+    stored = sorted({(var_slots[op.var], op.var) for thread in threads
+                     for op in thread if op.kind == "st"})
+    return {(frozenset(zip(registers, regs)),
+             frozenset((var, memory[slot]) for slot, var in stored))
+            for memory, regs in finals}

@@ -29,6 +29,7 @@ attach a causal-blame trace.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -49,6 +50,9 @@ SIM_SOUND_MODELS = ("tso", "rmo")
 
 #: A test's (operational, axiomatic) outcome sets under one model.
 References = Tuple[Set[Outcome], Set[Outcome]]
+
+#: The stages a report times, in host seconds.
+STAGES = ("operational", "axiomatic", "simulation")
 
 
 @dataclass
@@ -77,6 +81,10 @@ class TestReport:
     operational_count: int = 0
     axiomatic_count: int = 0
     violations: List[Violation] = field(default_factory=list)
+    #: Host seconds per stage; a stage whose result was passed in (or
+    #: skipped for the model) stays at 0.
+    stage_seconds: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(STAGES, 0.0))
 
     @property
     def ok(self) -> bool:
@@ -102,10 +110,20 @@ def default_delays(num_threads: int) -> List[Tuple[int, ...]]:
     return grid
 
 
-def reference_outcomes(test: ConformTest, model="tso") -> References:
-    """Enumerate *test*'s operational and axiomatic outcome sets."""
+def reference_outcomes(test: ConformTest, model="tso",
+                       stage_seconds: Optional[Dict[str, float]] = None
+                       ) -> References:
+    """Enumerate *test*'s operational and axiomatic outcome sets,
+    adding each enumeration's host seconds to *stage_seconds*."""
     spec: MemoryModel = get_model(model)
-    return operational_outcomes(test, spec), axiomatic_outcomes(test, spec)
+    start = time.perf_counter()
+    op_set = operational_outcomes(test, spec)
+    middle = time.perf_counter()
+    ax_set = axiomatic_outcomes(test, spec)
+    if stage_seconds is not None:
+        stage_seconds["operational"] += middle - start
+        stage_seconds["axiomatic"] += time.perf_counter() - middle
+    return op_set, ax_set
 
 
 def check_test(test: ConformTest, *,
@@ -132,7 +150,8 @@ def check_test(test: ConformTest, *,
     report = TestReport(name=test.name, family=test.family,
                         expect=expect, model=spec.name, backend=backend)
     op_set, ax_set = (references if references is not None
-                      else reference_outcomes(test, spec))
+                      else reference_outcomes(test, spec,
+                                              report.stage_seconds))
     report.operational_count = len(op_set)
     report.axiomatic_count = len(ax_set)
 
@@ -170,7 +189,9 @@ def check_test(test: ConformTest, *,
                                               random.Random(seed))
     seen_sim: Set[Outcome] = set()
     for combo in combos:
+        start = time.perf_counter()
         outcome = run_litmus(litmus, params, extra_delays=combo)
+        report.stage_seconds["simulation"] += time.perf_counter() - start
         report.sim_runs += 1
         regs = {key: outcome.registers.get(key, 0) for key in load_keys}
         values = dict(regs)

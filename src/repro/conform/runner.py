@@ -14,12 +14,14 @@ the smoke path stays within budget; ``REPRO_CONFORM_FULL=1`` (or
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..common.types import CommitMode
-from .differential import References, TestReport, Violation, check_test
+from .differential import (STAGES, References, TestReport, Violation,
+                           check_test)
 from .litmus_format import parse_litmus
 from .model import ConformTest
 
@@ -82,6 +84,8 @@ class ConformanceResult:
     explorations: Dict[str, Dict] = field(default_factory=dict)
     model: str = "tso"
     backend: str = "baseline"
+    #: Host seconds spent in the protocol explorations (0 if not run).
+    exploration_seconds: float = 0.0
 
     @property
     def violations(self) -> List[Violation]:
@@ -108,6 +112,15 @@ class ConformanceResult:
             row["violations"] += len(report.violations)
         return [rows[family] for family in sorted(rows)]
 
+    def stage_seconds(self) -> Dict[str, float]:
+        """Host seconds per stage, summed over the reports, plus the
+        explorations."""
+        totals = {stage: sum(report.stage_seconds[stage]
+                             for report in self.reports)
+                  for stage in STAGES}
+        totals["exploration"] = self.exploration_seconds
+        return totals
+
     def to_payload(self) -> Dict:
         return {
             "schema": "repro-conformance/1",
@@ -121,6 +134,7 @@ class ConformanceResult:
             ],
             "families": self.family_rows(),
             "explorations": self.explorations,
+            "stage_seconds": self.stage_seconds(),
         }
 
 
@@ -170,7 +184,9 @@ def run_conformance(tests: Sequence[ConformTest], *,
     if explore:
         from .scenarios import run_explorations
 
+        start = time.perf_counter()
         result.explorations = run_explorations(por=por, backend=backend)
+        result.exploration_seconds = time.perf_counter() - start
     return result
 
 

@@ -9,13 +9,12 @@ checker, a litmus test failing would surface both as a forbidden outcome
 *and* a checker cycle.
 
 :func:`enumerate_interleavings` reproduces Table 2 analytically: all
-interleavings of two instruction streams, classified legal/illegal under
-TSO by the same axiomatic rules.
+interleavings of two instruction streams; :func:`legal_tso_outcomes`
+gives the load outcomes the operational x86-TSO machine reaches.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -24,6 +23,7 @@ from ..common.params import SystemParams, table6_system
 from ..common.types import CommitMode
 from ..workloads.trace import AddressSpace, TraceBuilder
 from .execution import ExecutionLog
+from .operational import TOp, enumerate_outcomes
 from .tso_checker import check_tso
 from ..common.errors import TSOViolationError
 
@@ -408,8 +408,8 @@ class SimpleOp:
     ``kind`` is ``"ld"``, ``"st"``, or ``"mf"`` (a full fence, which
     carries no variable).  ``out`` optionally overrides the load-outcome
     key (default ``"t{thread}:ld {var}"``) — the conformance corpus uses
-    register names so the same valuation keys work across the simulator,
-    the operational model, and this enumeration.
+    register names so the same valuation keys work across the simulator
+    and the operational model.
     """
 
     thread: int
@@ -429,8 +429,8 @@ def enumerate_interleavings(threads: Sequence[Sequence[SimpleOp]]
     interleaving, executing stores in interleaving order (memory order)
     and binding each load to the current value of its variable.  This is
     the *sequentially consistent* enumeration (paper Table 2); fences
-    are inert here.  :func:`legal_tso_outcomes` layers the TSO
-    store-buffer relaxation on top.
+    are inert here.  :func:`legal_tso_outcomes` gives the TSO outcomes
+    from the operational machine.
     """
     results = []
     lengths = [len(t) for t in threads]
@@ -456,90 +456,22 @@ def legal_tso_outcomes(threads: Sequence[Sequence[SimpleOp]]
                        ) -> List[Dict[str, str]]:
     """Distinct load-outcome combinations reachable under x86-TSO.
 
-    TSO relaxes exactly one program-order edge: an older *store* may
-    drain to memory after a younger *load* performs (FIFO store buffer),
-    with same-address forwarding.  Every TSO execution is therefore an
-    SC interleaving of per-thread *memory-order* sequences in which
-
-    * loads keep their relative program order,
-    * stores keep their relative program order,
-    * a load may move earlier past any program-order-earlier stores,
-      unless a fence (``mf``) sits between them, and
-    * a load hoisted past a same-variable store is *pinned* to that
-      store's value (store-to-load forwarding) instead of reading
-      memory.
-
-    :func:`_thread_relaxations` enumerates those per-thread sequences;
-    this function SC-merges every combination and collects the distinct
-    load valuations.  For threads with no store→load pairs (e.g. the
-    paper's Table 2 shape) this degenerates to the SC enumeration.
+    An adapter over the operational x86-TSO machine
+    (:func:`repro.consistency.operational.enumerate_outcomes`): every
+    store writes ``"new"`` over the initial ``"old"``, a fence is an
+    MFENCE, and each load lands in a register named by its
+    :meth:`SimpleOp.key` (keys must differ between threads; within a
+    thread the younger load of a repeated key wins).  For threads with
+    no store→load pairs (e.g. the paper's Table 2 shape) the outcomes
+    are the SC ones.
     """
-    outcomes: List[Dict[str, str]] = []
-    seen = set()
-    relaxed_threads = [_thread_relaxations(t) for t in threads]
-    for combo in itertools.product(*relaxed_threads):
-        lengths = [len(t) for t in combo]
-        for order in _merge_orders(lengths):
-            state: Dict[str, str] = {}
-            loads: Dict[str, str] = {}
-            for t, i in order:
-                op, pinned = combo[t][i]
-                if op.kind == "st":
-                    state[op.var] = "new"
-                else:
-                    loads[op.key()] = (pinned if pinned is not None
-                                       else state.get(op.var, "old"))
-            fingerprint = tuple(sorted(loads.items()))
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                outcomes.append(loads)
-    return outcomes
-
-
-def _thread_relaxations(ops: Sequence[SimpleOp]
-                        ) -> List[Tuple[Tuple[SimpleOp, Optional[str]], ...]]:
-    """All TSO-legal memory-order sequences for one thread.
-
-    Walks the program with a symbolic FIFO store buffer: at each step
-    either execute the next instruction (loads perform immediately,
-    forwarding from the youngest buffered same-variable store; stores
-    enter the buffer; a fence requires an empty buffer) or drain the
-    oldest buffered store.  The emitted sequence of (op, pinned_value)
-    pairs is the order the thread's accesses hit memory — exactly the
-    per-thread projection of a TSO execution.  Fences emit nothing.
-    """
-    results: List[Tuple[Tuple[SimpleOp, Optional[str]], ...]] = []
-    seen = set()
-
-    def walk(pc: int, buffer: Tuple[SimpleOp, ...],
-             emitted: Tuple[Tuple[SimpleOp, Optional[str]], ...]) -> None:
-        if pc == len(ops) and not buffer:
-            if emitted not in seen:
-                seen.add(emitted)
-                results.append(emitted)
-            return
-        if buffer:  # drain the oldest buffered store to memory
-            walk(pc, buffer[1:], emitted + ((buffer[0], None),))
-        if pc == len(ops):
-            return
-        op = ops[pc]
-        if op.kind == "st":
-            walk(pc + 1, buffer + (op,), emitted)
-        elif op.kind == "mf":
-            if not buffer:
-                walk(pc + 1, buffer, emitted)
-        elif op.kind == "ld":
-            pinned: Optional[str] = None
-            for buffered in reversed(buffer):
-                if buffered.var == op.var:
-                    pinned = "new"  # forwarded from own store buffer
-                    break
-            walk(pc + 1, buffer, emitted + ((op, pinned),))
-        else:
-            raise ValueError(f"unknown SimpleOp kind {op.kind!r}")
-
-    walk(0, (), ())
-    return results
+    program = [[TOp(op.kind, op.var, reg=op.key(), value=1) for op in thread]
+               for thread in threads]
+    names = ("old", "new")
+    distinct = {tuple(sorted((key.split(":", 1)[1], names[value])
+                             for key, value in outcome))
+                for outcome in enumerate_outcomes(program)}
+    return [dict(loads) for loads in sorted(distinct)]
 
 
 def _merge_orders(lengths: Sequence[int]) -> Iterator[Tuple[Tuple[int, int], ...]]:

@@ -35,14 +35,43 @@ against:
   shapes).
 
 Programs are tiny: threads are lists of :class:`TOp` — ``ld``, ``st``,
-and ``rmw`` on named locations.  State spaces are memoized; typical
-litmus shapes explore a few thousand states.
+``rmw`` and ``mf`` on named locations.
+
+**Slot layout.**  :class:`_Slots` numbers a program's locations and
+registers once, in first-use order, and compiles each op to a
+``(kind, location slot, register slot, value)`` tuple.  Memory and the
+register file are then fixed-length tuples indexed by slot (every
+location starts at 0), so a step is one tuple splice.  The RMO
+machine's per-thread set of executed ops is an int bitmask.  Slots map
+back to ``t{tid}:{reg}`` and location names only for final states:
+every register is loaded and every stored location written by the time
+a machine stops, so the final valuation names exactly the registers of
+the program's loads and the locations of its stores.
+
+**Reduction (TSO only).**  When some thread's next op is a store (an
+append to its own buffer) or an ``mf`` on an empty own buffer, the
+machine expands only that step.  Both steps read and write nothing
+another thread can see, stay enabled until taken, and commute with
+every other enabled step: other threads touch neither this thread's pc
+nor its buffer, and a drain of the own buffer removes the oldest entry
+while the append adds the youngest (an ``mf`` waits for an empty
+buffer, which no step other than its own can fill).  That singleton is
+therefore a persistent set, and since the state graph is acyclic
+(every step advances a pc or shrinks a buffer) exploring persistent
+sets reaches every final state.  On the 344-test corpus the TSO
+machine visits 123,016 states instead of 273,033.  A load that would
+forward from its own buffer is *not* a candidate: a drain of that
+buffer can disable the forwarding, so the load depends on its own
+thread's drains.  In ``t0: st x=1; ld x→r | t1: st x=2`` the schedule
+"drain t0, drain t1, load" reads ``r=2``, which forwarding eagerly
+would lose.  Loads and RMWs read memory another thread writes, so
+they are never reduced either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -73,15 +102,47 @@ def mf() -> TOp:
     return TOp("mf")
 
 
-State = Tuple[
-    Tuple[int, ...],  # per-thread program counter
-    Tuple[Tuple[Tuple[str, int], ...], ...],  # per-thread store buffer
-    Tuple[Tuple[str, int], ...],  # memory (sorted items)
-    Tuple[Tuple[str, int], ...],  # registers (sorted "t{i}:{reg}" items)
-]
-
-
 FinalState = Tuple[FrozenSet[Tuple[str, int]], FrozenSet[Tuple[str, int]]]
+
+#: One compiled op: (kind, location slot, register slot, value).
+SlotOp = Tuple[str, int, int, int]
+#: Past a thread's last op: no step.
+_END: SlotOp = ("end", 0, 0, 0)
+#: Every machine's state ends with (memory, registers), both by slot.
+MachineState = Tuple
+
+
+class _Slots:
+    """Slot numbers for one program's locations and registers."""
+
+    def __init__(self, threads: Sequence[Sequence[TOp]]) -> None:
+        locations: Dict[str, int] = {}
+        registers: Dict[str, int] = {}
+        self.code: List[Tuple[SlotOp, ...]] = []
+        for tid, thread in enumerate(threads):
+            ops: List[SlotOp] = []
+            for op in thread:
+                if op.kind not in ("ld", "st", "rmw", "mf"):
+                    raise ValueError(f"unknown op kind {op.kind!r}")
+                loc = (0 if op.kind == "mf"
+                       else locations.setdefault(op.loc, len(locations)))
+                reg = (registers.setdefault(f"t{tid}:{op.reg}",
+                                            len(registers))
+                       if op.kind in ("ld", "rmw") else 0)
+                ops.append((op.kind, loc, reg, op.value))
+            self.code.append(tuple(ops))
+        names = list(locations)
+        self.register_names = list(registers)
+        self.stored = sorted({(loc, names[loc]) for thread in self.code
+                              for kind, loc, __, __ in thread
+                              if kind in ("st", "rmw")})
+        self.memory = (0,) * len(names)
+        self.registers = (0,) * len(registers)
+
+    def final(self, memory: Tuple[int, ...],
+              registers: Tuple[int, ...]) -> FinalState:
+        return (frozenset(zip(self.register_names, registers)),
+                frozenset((name, memory[loc]) for loc, name in self.stored))
 
 
 def enumerate_outcomes(threads: Sequence[Sequence[TOp]],
@@ -97,20 +158,21 @@ def enumerate_final_states(threads: Sequence[Sequence[TOp]],
                            *, model: str = "tso",
                            max_states: int = 200_000) -> Set[FinalState]:
     """All reachable final (registers, memory) pairs under *model*."""
-    if model == "rmo":
-        return _enumerate_rmo(threads, max_states=max_states)
-    if model not in ("tso", "sc"):
+    if model not in _MACHINES:
         raise ValueError(f"no operational machine for model {model!r}")
-    step = _successors if model == "tso" else _successors_sc
-    initial: State = (
-        tuple(0 for __ in threads),
-        tuple(() for __ in threads),
-        (),
-        (),
-    )
-    outcomes: Set[FinalState] = set()
-    seen: Set[State] = set()
-    stack: List[State] = [initial]
+    slots = _Slots(threads)
+    initial, successors = _MACHINES[model](slots)
+    return {slots.final(memory, registers) for memory, registers in
+            _explore(initial, successors, max_states)}
+
+
+def _explore(initial: MachineState,
+             successors: Callable[[MachineState], List[MachineState]],
+             max_states: int) -> Set[Tuple[Tuple[int, ...], ...]]:
+    """Depth-first search; the (memory, registers) of every final state."""
+    finals: Set[Tuple[Tuple[int, ...], ...]] = set()
+    seen: Set[MachineState] = set()
+    stack: List[MachineState] = [initial]
     while stack:
         state = stack.pop()
         if state in seen:
@@ -118,213 +180,153 @@ def enumerate_final_states(threads: Sequence[Sequence[TOp]],
         seen.add(state)
         if len(seen) > max_states:
             raise RuntimeError("state space too large; shrink the program")
+        following = successors(state)
+        if following:
+            stack.extend(following)
+        else:
+            finals.add(state[-2:])
+    return finals
+
+
+def _tso_machine(slots: _Slots):
+    """State: (pcs, store buffers of (slot, value), memory, registers)."""
+    code = [thread + (_END,) for thread in slots.code]
+    threads = range(len(code))
+
+    def successors(state: MachineState) -> List[MachineState]:
         pcs, buffers, memory, registers = state
-        successors = step(threads, state)
-        if not successors:
-            outcomes.add((frozenset(registers), frozenset(memory)))
-            continue
-        stack.extend(successors)
-    return outcomes
+        for tid in threads:  # the persistent singleton, if any
+            pc = pcs[tid]
+            kind, loc, __, value = code[tid][pc]
+            if kind == "st":
+                return [(pcs[:tid] + (pc + 1,) + pcs[tid + 1:],
+                         buffers[:tid] + (buffers[tid] + ((loc, value),),)
+                         + buffers[tid + 1:],
+                         memory, registers)]
+            if kind == "mf" and not buffers[tid]:
+                return [(pcs[:tid] + (pc + 1,) + pcs[tid + 1:],
+                         buffers, memory, registers)]
+        following: List[MachineState] = []
+        for tid in threads:
+            buffer = buffers[tid]
+            if buffer:  # (b) drain the oldest entry to memory
+                loc, value = buffer[0]
+                following.append(
+                    (pcs, buffers[:tid] + (buffer[1:],) + buffers[tid + 1:],
+                     memory[:loc] + (value,) + memory[loc + 1:], registers))
+            # (a) execute: a store or a ready mf was taken above, and an
+            # mf or RMW waits for the own buffer to drain.
+            pc = pcs[tid]
+            kind, loc, reg, value = code[tid][pc]
+            if kind == "ld":
+                observed = memory[loc]
+                for entry_loc, entry_value in reversed(buffer):
+                    if entry_loc == loc:
+                        observed = entry_value
+                        break
+                following.append(
+                    (pcs[:tid] + (pc + 1,) + pcs[tid + 1:], buffers, memory,
+                     registers[:reg] + (observed,) + registers[reg + 1:]))
+            elif kind == "rmw" and not buffer:
+                following.append(
+                    (pcs[:tid] + (pc + 1,) + pcs[tid + 1:], buffers,
+                     memory[:loc] + (value,) + memory[loc + 1:],
+                     registers[:reg] + (memory[loc],) + registers[reg + 1:]))
+        return following
+
+    return ((0,) * len(code), ((),) * len(code), slots.memory,
+            slots.registers), successors
 
 
-def _read(memory: Tuple[Tuple[str, int], ...], loc: str) -> int:
-    for name, value in memory:
-        if name == loc:
-            return value
-    return 0
-
-
-def _write(memory: Tuple[Tuple[str, int], ...], loc: str,
-           value: int) -> Tuple[Tuple[str, int], ...]:
-    items = dict(memory)
-    items[loc] = value
-    return tuple(sorted(items.items()))
-
-
-def _set_reg(registers: Tuple[Tuple[str, int], ...], key: str,
-             value: int) -> Tuple[Tuple[str, int], ...]:
-    items = dict(registers)
-    items[key] = value
-    return tuple(sorted(items.items()))
-
-
-def _successors(threads, state: State) -> List[State]:
-    pcs, buffers, memory, registers = state
-    next_states: List[State] = []
-    for tid in range(len(threads)):
-        # (b) drain the oldest store-buffer entry to memory.
-        if buffers[tid]:
-            (loc, value), rest = buffers[tid][0], buffers[tid][1:]
-            new_buffers = _replace(buffers, tid, rest)
-            next_states.append(
-                (pcs, new_buffers, _write(memory, loc, value), registers))
-        # (a) execute the thread's next instruction.
-        if pcs[tid] >= len(threads[tid]):
-            continue
-        op = threads[tid][pcs[tid]]
-        new_pcs = _replace(pcs, tid, pcs[tid] + 1)
-        if op.kind == "st":
-            new_buffers = _replace(
-                buffers, tid, buffers[tid] + ((op.loc, op.value),))
-            next_states.append((new_pcs, new_buffers, memory, registers))
-        elif op.kind == "ld":
-            value = _forwarded(buffers[tid], op.loc)
-            if value is None:
-                value = _read(memory, op.loc)
-            new_regs = _set_reg(registers, f"t{tid}:{op.reg}", value)
-            next_states.append((new_pcs, buffers, memory, new_regs))
-        elif op.kind == "mf":
-            if buffers[tid]:
-                continue  # MFENCE waits for the own buffer to drain
-            next_states.append((new_pcs, buffers, memory, registers))
-        elif op.kind == "rmw":
-            if buffers[tid]:
-                continue  # RMW requires a drained own buffer (fence)
-            old = _read(memory, op.loc)
-            new_regs = _set_reg(registers, f"t{tid}:{op.reg}", old)
-            next_states.append(
-                (new_pcs, buffers, _write(memory, op.loc, op.value),
-                 new_regs))
-        else:
-            raise ValueError(f"unknown op kind {op.kind!r}")
-    return next_states
-
-
-def _successors_sc(threads, state: State) -> List[State]:
+def _sc_machine(slots: _Slots):
     """SC: the TSO machine minus the store buffer (stores hit memory at
-    execute, MFENCE is a no-op, RMW needs no drain)."""
-    pcs, buffers, memory, registers = state
-    next_states: List[State] = []
-    for tid in range(len(threads)):
-        if pcs[tid] >= len(threads[tid]):
-            continue
-        op = threads[tid][pcs[tid]]
-        new_pcs = _replace(pcs, tid, pcs[tid] + 1)
-        if op.kind == "st":
-            next_states.append(
-                (new_pcs, buffers, _write(memory, op.loc, op.value),
-                 registers))
-        elif op.kind == "ld":
-            value = _read(memory, op.loc)
-            new_regs = _set_reg(registers, f"t{tid}:{op.reg}", value)
-            next_states.append((new_pcs, buffers, memory, new_regs))
-        elif op.kind == "mf":
-            next_states.append((new_pcs, buffers, memory, registers))
-        elif op.kind == "rmw":
-            old = _read(memory, op.loc)
-            new_regs = _set_reg(registers, f"t{tid}:{op.reg}", old)
-            next_states.append(
-                (new_pcs, buffers, _write(memory, op.loc, op.value),
-                 new_regs))
-        else:
-            raise ValueError(f"unknown op kind {op.kind!r}")
-    return next_states
+    execute, MFENCE is a no-op, RMW needs no drain).
+    State: (pcs, memory, registers)."""
+    code = [thread + (_END,) for thread in slots.code]
+    threads = range(len(code))
+
+    def successors(state: MachineState) -> List[MachineState]:
+        pcs, memory, registers = state
+        following: List[MachineState] = []
+        for tid in threads:
+            pc = pcs[tid]
+            kind, loc, reg, value = code[tid][pc]
+            if kind == "end":
+                continue
+            new_pcs = pcs[:tid] + (pc + 1,) + pcs[tid + 1:]
+            new_memory, new_registers = memory, registers
+            if kind in ("ld", "rmw"):
+                new_registers = (registers[:reg] + (memory[loc],)
+                                 + registers[reg + 1:])
+            if kind in ("st", "rmw"):
+                new_memory = memory[:loc] + (value,) + memory[loc + 1:]
+            following.append((new_pcs, new_memory, new_registers))
+        return following
+
+    return ((0,) * len(code), slots.memory, slots.registers), successors
 
 
-# ----------------------------------------------------------------- rmo
-RmoState = Tuple[
-    Tuple[FrozenSet[int], ...],  # per-thread executed op indices
-    Tuple[Tuple[str, int], ...],  # memory
-    Tuple[Tuple[str, int], ...],  # registers
-]
+def _rmo_machine(slots: _Slots):
+    """RMO: any op whose blockers have fired may fire.
+    State: (per-thread bitmask of executed ops, memory, registers)."""
+    # Per op: (kind, loc, reg, value, own bit, blocker mask, forwarding
+    # store's bit, forwarding store's value).
+    code = [tuple(op + (1 << j,) + _rmo_wait(thread, j)
+                  for j, op in enumerate(thread))
+            for thread in slots.code]
+    threads = range(len(code))
+
+    def successors(state: MachineState) -> List[MachineState]:
+        done, memory, registers = state
+        following: List[MachineState] = []
+        for tid in threads:
+            executed = done[tid]
+            for kind, loc, reg, value, bit, waits, fwd_bit, fwd_value \
+                    in code[tid]:
+                if executed & bit or executed & waits != waits:
+                    continue
+                new_done = done[:tid] + (executed | bit,) + done[tid + 1:]
+                new_memory, new_registers = memory, registers
+                if kind in ("ld", "rmw"):
+                    # A load hoisted above its youngest po-earlier
+                    # same-location store forwards that store's value.
+                    observed = (fwd_value if fwd_bit and not executed & fwd_bit
+                                else memory[loc])
+                    new_registers = (registers[:reg] + (observed,)
+                                     + registers[reg + 1:])
+                if kind in ("st", "rmw"):
+                    new_memory = memory[:loc] + (value,) + memory[loc + 1:]
+                following.append((new_done, new_memory, new_registers))
+        return following
+
+    return ((0,) * len(code), slots.memory, slots.registers), successors
 
 
-def _rmo_blockers(thread: Sequence[TOp]) -> List[Tuple[int, ...]]:
-    """For each op, the po-earlier indices it must wait for under RMO.
+def _rmo_wait(thread: Sequence[SlotOp], j: int) -> Tuple[int, int, int]:
+    """Op *j*'s blocker mask, and the bit and value of the store it
+    forwards from while that store has not fired (bit 0 if none).
 
     An op waits for fences (and a fence for everything), and for
     same-location predecessors — except a load above a same-location
     store, which may hoist (it forwards the store's value instead).
+    Atomics are full fences.
     """
-    blockers: List[Tuple[int, ...]] = []
-    for j, op in enumerate(thread):
-        waits = []
-        for i in range(j):
-            prev = thread[i]
-            if prev.kind == "mf" or op.kind == "mf":
-                waits.append(i)
-            elif prev.kind == "rmw" or op.kind == "rmw":
-                waits.append(i)  # atomics are full fences
-            elif prev.loc == op.loc:
-                if prev.kind == "st" and op.kind == "ld":
-                    continue  # st→ld hoists via forwarding
-                waits.append(i)
-        blockers.append(tuple(waits))
-    return blockers
-
-
-def _enumerate_rmo(threads: Sequence[Sequence[TOp]],
-                   *, max_states: int) -> Set[FinalState]:
-    blockers = [_rmo_blockers(thread) for thread in threads]
-    initial: RmoState = (
-        tuple(frozenset() for __ in threads), (), ())
-    outcomes: Set[FinalState] = set()
-    seen: Set[RmoState] = set()
-    stack: List[RmoState] = [initial]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        if len(seen) > max_states:
-            raise RuntimeError("state space too large; shrink the program")
-        done, memory, registers = state
-        successors: List[RmoState] = []
-        for tid, thread in enumerate(threads):
-            for j, op in enumerate(thread):
-                if j in done[tid]:
-                    continue
-                if any(i not in done[tid] for i in blockers[tid][j]):
-                    continue
-                new_done = _replace(done, tid, done[tid] | {j})
-                if op.kind == "st":
-                    successors.append(
-                        (new_done, _write(memory, op.loc, op.value),
-                         registers))
-                elif op.kind == "ld":
-                    value = _rmo_load_value(thread, done[tid], j, memory)
-                    new_regs = _set_reg(registers, f"t{tid}:{op.reg}", value)
-                    successors.append((new_done, memory, new_regs))
-                elif op.kind == "mf":
-                    successors.append((new_done, memory, registers))
-                elif op.kind == "rmw":
-                    old = _read(memory, op.loc)
-                    new_regs = _set_reg(registers, f"t{tid}:{op.reg}", old)
-                    successors.append(
-                        (new_done, _write(memory, op.loc, op.value),
-                         new_regs))
-                else:
-                    raise ValueError(f"unknown op kind {op.kind!r}")
-        if not successors:
-            outcomes.add((frozenset(registers), frozenset(memory)))
-            continue
-        stack.extend(successors)
-    return outcomes
-
-
-def _rmo_load_value(thread: Sequence[TOp], done: FrozenSet[int],
-                    j: int, memory: Tuple[Tuple[str, int], ...]) -> int:
-    """A load executing at *j*: forward from the youngest po-earlier
-    same-location store that has not yet executed, else read memory."""
-    op = thread[j]
+    kind, loc = thread[j][:2]
+    waits = fwd_bit = fwd_value = 0
     for i in range(j - 1, -1, -1):
-        prev = thread[i]
-        if prev.kind in ("st", "rmw") and prev.loc == op.loc:
-            if i not in done:
-                return prev.value
-            break  # youngest same-loc store already in memory order
-    return _read(memory, op.loc)
+        prev_kind, prev_loc, __, prev_value = thread[i]
+        if "mf" in (prev_kind, kind) or "rmw" in (prev_kind, kind):
+            waits |= 1 << i
+        elif prev_loc == loc:
+            if prev_kind == "st" and kind == "ld":
+                if not fwd_bit:
+                    fwd_bit, fwd_value = 1 << i, prev_value
+                continue
+            waits |= 1 << i
+    return waits, fwd_bit, fwd_value
 
 
-def _forwarded(buffer: Tuple[Tuple[str, int], ...], loc: str):
-    for name, value in reversed(buffer):
-        if name == loc:
-            return value
-    return None
-
-
-def _replace(items: tuple, index: int, value) -> tuple:
-    return items[:index] + (value,) + items[index + 1:]
+_MACHINES = {"tso": _tso_machine, "sc": _sc_machine, "rmo": _rmo_machine}
 
 
 def outcome_reachable(threads: Sequence[Sequence[TOp]],

@@ -92,6 +92,31 @@ def test_run_conformance_slice_is_clean(tmp_path):
     assert {"mp", "sb", "iriw", "corr3"} <= families
 
 
+def test_stage_seconds_are_additive_to_the_payload(capsys):
+    """Stage timers ride along without moving any other payload field,
+    and ``repro conform`` prints them to stderr only."""
+    tests = corpus()
+    sample = [tests[name] for name in ("MP+po+po", "SB+mf+mf")]
+    payloads = [run_conformance(sample, perturb=1, seed=0).to_payload()
+                for __ in range(2)]
+    stages = [payload.pop("stage_seconds") for payload in payloads]
+    assert payloads[0] == payloads[1]
+    for totals in stages:
+        assert set(totals) == {"operational", "axiomatic", "simulation",
+                               "exploration"}
+        assert all(seconds >= 0 for seconds in totals.values())
+        assert totals["operational"] > 0 and totals["simulation"] > 0
+        assert totals["exploration"] == 0  # explore=False
+
+    from repro.cli import main
+
+    assert main(["conform", "--only", "MP+po+po", "--no-explore",
+                 "--perturb", "0"]) == 0
+    out, err = capsys.readouterr()
+    assert "stages:" not in out
+    assert err.count("stages: operational=") == 1
+
+
 def test_model_parametric_check_on_samples():
     """The same test checked under sc/tso/rmo: sim phase only where
     the hardware satisfies the model, per-model expectation applied."""
